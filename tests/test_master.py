@@ -39,6 +39,67 @@ def thermal(nb: float, n: int) -> np.ndarray:
     return w / w.sum()
 
 
+class ReferenceFlows:
+    """The rate equation written flow by flow on grid slices.
+
+    An independent encoding of the generator: the package builds one sparse
+    matrix, this applies each pump, damping and thermal flow by hand.
+    """
+
+    def __init__(self, cfg: MazerConfig, gains: GainTable):
+        n1 = np.arange(cfg.n1_max, dtype=float)[:, None]
+        n2 = np.arange(cfg.n2_max, dtype=float)[None, :]
+        c1, c2 = cfg.c1_over_c, cfg.c2_over_c
+        # no thermal up-flow out of the last row/column
+        up1_w = cfg.nb1 * c1 * (n1 + 1.0)
+        up1_w[-1, :] = 0.0
+        up2_w = cfg.nb2 * c2 * (n2 + 1.0)
+        up2_w[:, -1] = 0.0
+        self.outflow = (
+            gains.g_b1 + gains.g_b2
+            + c1 * (cfg.nb1 + 1.0) * n1 + c2 * (cfg.nb2 + 1.0) * n2
+            + up1_w + up2_w
+        )
+        self.gb1_in = gains.g_b1[:-1, :]
+        self.gb2_in = gains.g_b2[:-1, :-1]
+        self.down1 = c1 * (cfg.nb1 + 1.0) * n1[1:, :]
+        self.down2 = c2 * (cfg.nb2 + 1.0) * n2[:, 1:]
+        self.up1 = cfg.nb1 * c1 * n1[1:, :]
+        self.up2 = cfg.nb2 * c2 * n2[:, 1:]
+        # gain flows leaving the grid: last row (both gains), last column
+        # below it (pair gain only)
+        self.edge_top = gains.g_b1[-1, :] + gains.g_b2[-1, :]
+        self.edge_right = gains.g_b2[:-1, -1]
+
+    def apply(self, p: np.ndarray) -> tuple[np.ndarray, float]:
+        dp = -self.outflow * p
+        dp[1:, :] += self.gb1_in * p[:-1, :]
+        dp[1:, 1:] += self.gb2_in * p[:-1, :-1]
+        dp[:-1, :] += self.down1 * p[1:, :]
+        dp[:, :-1] += self.down2 * p[:, 1:]
+        dp[1:, :] += self.up1 * p[:-1, :]
+        dp[:, 1:] += self.up2 * p[:, :-1]
+        leak = float(self.edge_top @ p[-1, :] + self.edge_right @ p[:-1, -1])
+        return dp, leak
+
+
+def reference_rk4(cfg, gains, dt, t_max, tol):
+    """Textbook fixed-step RK4 from the vacuum on the reference flows."""
+    flows = ReferenceFlows(cfg, gains)
+    p = JointDistribution.vacuum(cfg.n1_max, cfg.n2_max).p
+    leak = 0.0
+    for step in range(math.ceil(t_max / dt)):
+        k1, l1 = flows.apply(p)
+        if np.abs(k1).sum() < tol:
+            return p, leak, step
+        k2, l2 = flows.apply(p + dt / 2 * k1)
+        k3, l3 = flows.apply(p + dt / 2 * k2)
+        k4, l4 = flows.apply(p + dt * k3)
+        p = p + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        leak += dt / 6 * (l1 + 2 * l2 + 2 * l3 + l4)
+    raise AssertionError("reference RK4 did not converge")
+
+
 class TestValidation:
     def test_config_rejects_bad_rates(self):
         with pytest.raises(ValueError):
@@ -164,15 +225,33 @@ class TestApplyGenerator:
 
     def test_sparse_matrix_agrees_with_apply(self):
         rng = np.random.default_rng(13)
-        cfg = config(n=14, nb=0.4)
-        gains = build_gain_table(cfg)
-        gen = _RateGenerator(cfg, gains)
-        mat = gen.matrix()
-        for _ in range(5):
-            p = rng.random((14, 14))
-            p /= p.sum()
-            dp, _ = gen.apply(p)
-            assert np.abs(mat @ p.ravel() - dp.ravel()).max() < 1e-13
+        # square and non-square grids (the DIA offsets depend on n2), cold and
+        # thermal modes, unequal damping
+        for n1, n2, nb1, nb2, c1, c2 in [
+            (14, 14, 0.0, 0.0, 1.0, 1.0),
+            (14, 14, 0.4, 0.4, 1.0, 1.0),
+            (9, 15, 0.3, 0.7, 0.6, 1.4),
+            (15, 9, 0.0, 0.5, 1.3, 0.8),
+            (11, 6, 0.9, 0.0, 1.0, 2.5),
+        ]:
+            cfg = MazerConfig(r_over_c=50.0, nb1=nb1, nb2=nb2, beam=PLATEAU_BEAM,
+                              n1_max=n1, n2_max=n2, c1_over_c=c1, c2_over_c=c2)
+            # random gains reach every flow, the grid edges included
+            gains = GainTable(g_b1=rng.random((n1, n2)), g_b2=5.0 * rng.random((n1, n2)))
+            reference = ReferenceFlows(cfg, gains)
+            gen = _RateGenerator(cfg, gains)
+            csr = gen.matrix()
+            dia = csr.todia()
+            assert gen.max_outflow() == reference.outflow.max()
+            for _ in range(5):
+                p = rng.random((n1, n2))
+                p /= p.sum()
+                want_dp, want_leak = reference.apply(p)
+                dp, leak = apply_generator(cfg, gains, p)
+                assert leak == want_leak > 0.0
+                assert np.abs(dp - want_dp).max() < 1e-13
+                assert np.abs(csr @ p.ravel() - want_dp.ravel()).max() < 1e-13
+                assert np.abs(dia @ p.ravel() - want_dp.ravel()).max() < 1e-13
 
 
 class TestRk4SteadyState:
@@ -217,6 +296,18 @@ class TestRk4SteadyState:
         # mean occupation ~16 cannot fit an 8x8 grid
         with pytest.raises(TruncationError):
             rk4_steady_state(config(n=8), tol=1e-6, t_max=200.0)
+
+    def test_matches_textbook_rk4_on_reference_flows(self):
+        cfg = MazerConfig(r_over_c=0.3, nb1=0.05, nb2=0.1, beam=PLATEAU_BEAM,
+                          n1_max=12, n2_max=10, c1_over_c=0.8, c2_over_c=1.2)
+        gains = build_gain_table(cfg)
+        dt, t_max, tol = 0.02, 200.0, 1e-10
+        p, leak, steps = reference_rk4(cfg, gains, dt, t_max, tol)
+        res = rk4_steady_state(cfg, dt=dt, t_max=t_max, tol=tol, gains=gains)
+        assert res.iterations == steps > 0
+        assert np.abs(res.dist.p - p).max() < 1e-13
+        assert leak > 0.0
+        assert res.dist.tail_leak == pytest.approx(leak, rel=1e-9, abs=0.0)
 
 
 class TestDirectSteadyState:
