@@ -11,12 +11,10 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import constants
 
 from . import __version__
 from .jc import JcInput, g1_tau_from_beam, jc_gain
@@ -30,11 +28,12 @@ from .master import (
 from .scattering import (
     CavityBeam,
     ScatterInput,
-    _require_finite,
-    gain_probabilities,
+    channel_gains,
+    gain_probabilities,  # not called here; the benchmark tracer resolves it
     scatter_channels,
 )
 from .stats import classify, marginals, moments
+from .units import DEFAULT_G1_RAD_PER_S, RB85_MASS_KG, PhysicalScale, physical_scale
 
 __all__ = [
     "SweepSpec",
@@ -51,10 +50,14 @@ __all__ = [
     "main",
 ]
 
-RB85_MASS_KG = 84.911789738 * constants.atomic_mass
-DEFAULT_G1_RAD_PER_S = 2.0 * math.pi * 1.0e7
-
 _SWEEPABLE = ("kappa_l", "k_ratio")
+
+# Grid and solver settings for callers and flags that give none.
+_GRID = (128, 128)
+_METHOD = "rk4"
+_DT = 2e-3
+_TOL = 1e-12
+_T_MAX = 500.0
 
 
 @dataclass
@@ -75,8 +78,6 @@ class SweepSpec:
     end: float
     steps: int
     base: ScatterInput
-    out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.param not in _SWEEPABLE:
@@ -85,46 +86,12 @@ class SweepSpec:
             raise ValueError(f"steps must be >= 2, got {self.steps!r}")
         if not self.start < self.end:
             raise ValueError(f"need start < end, got {self.start!r} >= {self.end!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-
-
-@dataclass(frozen=True)
-class PhysicalScale:
-    """Laboratory anchors fixing the dimensionless units."""
-
-    g1_rad_per_s: float = DEFAULT_G1_RAD_PER_S
-    atom_mass_kg: float = RB85_MASS_KG
-
-    def __post_init__(self):
-        for name in ("g1_rad_per_s", "atom_mass_kg"):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-
-
-def physical_scale(
-    ps: PhysicalScale, kappa_l: float, k_ratio: float
-) -> tuple[float, float, float]:
-    """(cavity length in m, atom temperature in K, kappa in 1/m).
-
-    kappa is fixed by hbar*g1 = (hbar*kappa)^2 / (2 m); the temperature is
-    the kinetic energy scale (k/kappa)^2 hbar g1 / k_B.
-    """
-    kappa = math.sqrt(2.0 * ps.atom_mass_kg * ps.g1_rad_per_s / constants.hbar)
-    length = kappa_l / kappa
-    temperature = k_ratio * k_ratio * constants.hbar * ps.g1_rad_per_s / constants.k
-    return length, temperature, kappa
 
 
 def _emission_row(spec: SweepSpec, value: float) -> list[float]:
-    if spec.param == "kappa_l":
-        inp = replace(spec.base, kappa_l=float(value))
-    else:
-        inp = replace(spec.base, k_ratio=float(value))
+    inp = replace(spec.base, **{spec.param: float(value)})
     ch = scatter_channels(inp)
-    gain = gain_probabilities(inp)
+    gain = channel_gains(ch)
     jc = jc_gain(
         JcInput(
             gamma=inp.gamma,
@@ -147,13 +114,11 @@ def _emission_row(spec: SweepSpec, value: float) -> list[float]:
 def emission_sweep(spec: SweepSpec) -> Table:
     """Emission probabilities along the swept parameter.
 
-    Points are independent; they are evaluated concurrently and emitted in
-    index order.  The jc_* columns are the timed-transit values at the
-    fast-atom mapping g1*tau = kappa_l / (2 k/kappa) for the same point.
+    One scattering evaluation per point, in index order.  The jc_* columns
+    are the timed-transit values at the fast-atom mapping
+    g1*tau = kappa_l / (2 k/kappa) for the same point.
     """
-    values = np.linspace(spec.start, spec.end, spec.steps)
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(lambda v: _emission_row(spec, v), values))
+    rows = [_emission_row(spec, v) for v in np.linspace(spec.start, spec.end, spec.steps)]
     meta = {
         "command": "emission",
         "version": __version__,
@@ -211,10 +176,10 @@ def _config_meta(cfg: MazerConfig) -> dict:
 def steady_sweep(
     cfg: MazerConfig,
     *,
-    method: str = "rk4",
-    dt: float = 2e-3,
-    tol: float = 1e-12,
-    t_max: float = 500.0,
+    method: str = _METHOD,
+    dt: float = _DT,
+    tol: float = _TOL,
+    t_max: float = _T_MAX,
     twolevel_column: bool = False,
     note: str | None = None,
 ) -> Table:
@@ -378,11 +343,11 @@ PRESET_NAMES = tuple(sorted(_EMISSION_PRESETS) + sorted(_STEADY_PRESETS))
 def run_preset(
     name: str,
     *,
-    grid: tuple[int, int] = (128, 128),
-    method: str = "rk4",
+    grid: tuple[int, int] = _GRID,
+    method: str = _METHOD,
     dt: float | None = None,
-    tol: float = 1e-12,
-    t_max: float = 500.0,
+    tol: float = _TOL,
+    t_max: float = _T_MAX,
 ) -> Table:
     """Reproduce one published dataset; solver knobs may be overridden."""
     if name in _EMISSION_PRESETS:
@@ -433,10 +398,8 @@ def run_preset(
 # --- argument plumbing
 
 
-def _load_config_file(path: str | None) -> dict:
-    """Plain key=value file; '#' starts a comment. Flags take precedence."""
-    if path is None:
-        return {}
+def _load_config_file(path: str) -> dict:
+    """Plain key=value file; '#' starts a comment."""
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -446,18 +409,32 @@ def _load_config_file(path: str | None) -> dict:
             raise ValueError(f"bad config line (expected key=value): {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
-    if "format" in values:
-        values["fmt"] = values.pop("format")
     return values
 
 
-def _pick(args, filecfg: dict, key: str, default, cast):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in filecfg:
-        return cast(filecfg[key])
-    return default
+def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
+    """Make the file's values the defaults of `sub`; keys are its flag names.
+
+    argparse converts a string default through the flag's type when it
+    parses, so a bad value fails as the same bad flag would.
+    """
+    values = _load_config_file(path)
+    flags = {
+        action.dest: action
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    for key, value in values.items():
+        if key not in flags:
+            accepted = ", ".join(sorted(dest.replace("_", "-") for dest in flags))
+            raise ValueError(f"{path}: unknown key {key!r}; accepted keys: {accepted}")
+        choices = flags[key].choices
+        if choices is not None and value not in choices:
+            sub.error(
+                f"argument {flags[key].option_strings[0]}: invalid choice: {value!r} "
+                f"(choose from {', '.join(map(repr, choices))})"
+            )
+    sub.set_defaults(**values)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -469,29 +446,48 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _add_output_flags(sub):
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    sub.add_argument("--config", help="key=value file; flags override it")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--config", help="key = value file of flag names; flags override it")
 
 
-def _add_beam_flags(sub):
-    sub.add_argument("--k-ratio", type=float, dest="k_ratio")
-    sub.add_argument("--g-ratio", type=float, dest="g_ratio", help="coupling ratio g2/g1")
-    sub.add_argument("--kappa-l", type=float, dest="kappa_l")
+def _add_beam_flags(sub, kappa_l=20000.0 * math.pi):
+    sub.add_argument("--k-ratio", type=float, default=0.01)
+    sub.add_argument("--kappa-l", type=float, default=kappa_l)
 
 
-def _add_solver_flags(sub):
-    sub.add_argument("--r-over-c", type=float, dest="r_over_c")
-    sub.add_argument("--nb", type=float, help="thermal occupation of both baths")
-    sub.add_argument("--c1", type=float, help="mode-1 damping over C")
-    sub.add_argument("--c2", type=float, help="mode-2 damping over C")
-    sub.add_argument("--grid", type=_parse_grid, help="truncation, e.g. 128x128")
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--t-max", type=float, dest="t_max")
-    sub.add_argument("--method", choices=("rk4", "direct"))
+def _add_g_ratio_flag(sub):
+    sub.add_argument("--g-ratio", type=float, default=2.0, help="coupling ratio g2/g1")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_sweep_flags(sub, start=None, end=None):
+    sub.add_argument("--n1", type=int, default=0)
+    sub.add_argument("--n2", type=int, default=0)
+    sub.add_argument("--start", type=float, default=start)
+    sub.add_argument("--end", type=float, default=end)
+    sub.add_argument("--steps", type=int, default=2000)
+
+
+def _add_grid_flag(sub):
+    sub.add_argument("--grid", type=_parse_grid, default=_GRID, help="truncation, e.g. 128x128")
+
+
+def _add_cavity_flags(sub):
+    sub.add_argument("--r-over-c", type=float, default=50.0)
+    sub.add_argument("--nb", type=float, default=0.0, help="thermal occupation of both baths")
+    sub.add_argument("--c1", type=float, default=1.0, help="mode-1 damping over C")
+    sub.add_argument("--c2", type=float, default=1.0, help="mode-2 damping over C")
+    _add_grid_flag(sub)
+
+
+def _add_solver_flags(sub, dt):
+    sub.add_argument("--method", choices=("rk4", "direct"), default=_METHOD)
+    sub.add_argument("--dt", type=float, default=dt)
+    sub.add_argument("--tol", type=float, default=_TOL)
+    sub.add_argument("--t-max", type=float, default=_T_MAX)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="cascade-mazer",
         description="Two-mode maser pumped by slow cascade atoms: "
@@ -501,146 +497,113 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     emission = subs.add_parser("emission", help="sweep scattering gains")
-    _add_beam_flags(emission)
-    emission.add_argument("--n1", type=int)
-    emission.add_argument("--n2", type=int)
-    emission.add_argument("--sweep", choices=("kappa-l", "k-ratio"))
-    emission.add_argument("--start", type=float)
-    emission.add_argument("--end", type=float)
-    emission.add_argument("--steps", type=int)
+    _add_beam_flags(emission, kappa_l=0.0)
+    _add_g_ratio_flag(emission)
+    emission.add_argument("--sweep", choices=("kappa-l", "k-ratio"), default="kappa-l")
+    _add_sweep_flags(emission)
     _add_output_flags(emission)
 
     steady = subs.add_parser("steady", help="steady-state photon statistics")
     _add_beam_flags(steady)
-    _add_solver_flags(steady)
+    _add_g_ratio_flag(steady)
+    _add_cavity_flags(steady)
+    _add_solver_flags(steady, dt=_DT)
     _add_output_flags(steady)
 
     jc = subs.add_parser("jc", help="timed-transit gains over g1*tau")
-    jc.add_argument("--g-ratio", type=float, dest="g_ratio")
-    jc.add_argument("--n1", type=int)
-    jc.add_argument("--n2", type=int)
-    jc.add_argument("--start", type=float)
-    jc.add_argument("--end", type=float)
-    jc.add_argument("--steps", type=int)
+    _add_g_ratio_flag(jc)
+    _add_sweep_flags(jc, start=0.0, end=2.0 * math.pi)
     _add_output_flags(jc)
 
     oracle = subs.add_parser(
         "oracle-twolevel", help="detailed-balance distributions at gamma=0"
     )
     _add_beam_flags(oracle)
-    _add_solver_flags(oracle)
+    _add_cavity_flags(oracle)
     _add_output_flags(oracle)
 
     units = subs.add_parser("units", help="physical scales behind the units")
-    units.add_argument("--g1", type=float, dest="g1", help="coupling in rad/s")
-    units.add_argument("--mass-kg", type=float, dest="mass_kg")
-    units.add_argument("--kappa-l", type=float, dest="kappa_l")
-    units.add_argument("--k-ratio", type=float, dest="k_ratio")
+    units.add_argument("--g1", type=float, default=DEFAULT_G1_RAD_PER_S, help="coupling in rad/s")
+    units.add_argument("--mass-kg", type=float, default=RB85_MASS_KG)
+    _add_beam_flags(units)
     _add_output_flags(units)
 
     preset = subs.add_parser("preset", help="reproduce a published dataset")
     preset.add_argument("name", choices=PRESET_NAMES)
-    preset.add_argument("--grid", type=_parse_grid)
-    preset.add_argument("--dt", type=float)
-    preset.add_argument("--tol", type=float)
-    preset.add_argument("--t-max", type=float, dest="t_max")
-    preset.add_argument("--method", choices=("rk4", "direct"))
+    _add_grid_flag(preset)
+    _add_solver_flags(preset, dt=None)  # None: the preset's own step
     _add_output_flags(preset)
 
-    return parser
+    return parser, subs.choices
 
 
-def _cmd_emission(args, filecfg) -> Table:
-    sweep = _pick(args, filecfg, "sweep", "kappa-l", str).replace("-", "_")
-    base = ScatterInput(
-        k_ratio=_pick(args, filecfg, "k_ratio", 0.01, float),
-        kappa_l=_pick(args, filecfg, "kappa_l", 0.0, float),
-        gamma=_pick(args, filecfg, "g_ratio", 2.0, float),
-        n1=_pick(args, filecfg, "n1", 0, int),
-        n2=_pick(args, filecfg, "n2", 0, int),
-    )
-    start = _pick(args, filecfg, "start", None, float)
-    end = _pick(args, filecfg, "end", None, float)
-    if start is None or end is None:
+def _cmd_emission(args) -> Table:
+    if args.start is None or args.end is None:
         raise ValueError("emission sweeps need --start and --end")
+    base = ScatterInput(
+        k_ratio=args.k_ratio, kappa_l=args.kappa_l, gamma=args.g_ratio, n1=args.n1, n2=args.n2
+    )
     spec = SweepSpec(
-        param=sweep,
-        start=start,
-        end=end,
-        steps=_pick(args, filecfg, "steps", 2000, int),
+        param=args.sweep.replace("-", "_"),
+        start=args.start,
+        end=args.end,
+        steps=args.steps,
         base=base,
     )
     return emission_sweep(spec)
 
 
-def _mazer_config(args, filecfg) -> MazerConfig:
-    nb = _pick(args, filecfg, "nb", 0.0, float)
-    grid = _pick(args, filecfg, "grid", (128, 128), _parse_grid)
+def _mazer_config(args, gamma: float) -> MazerConfig:
     return MazerConfig(
-        r_over_c=_pick(args, filecfg, "r_over_c", 50.0, float),
-        nb1=nb,
-        nb2=nb,
-        beam=CavityBeam(
-            k_ratio=_pick(args, filecfg, "k_ratio", 0.01, float),
-            kappa_l=_pick(args, filecfg, "kappa_l", 20000.0 * math.pi, float),
-            gamma=_pick(args, filecfg, "g_ratio", 2.0, float),
-        ),
-        n1_max=grid[0],
-        n2_max=grid[1],
-        c1_over_c=_pick(args, filecfg, "c1", 1.0, float),
-        c2_over_c=_pick(args, filecfg, "c2", 1.0, float),
+        r_over_c=args.r_over_c,
+        nb1=args.nb,
+        nb2=args.nb,
+        beam=CavityBeam(k_ratio=args.k_ratio, kappa_l=args.kappa_l, gamma=gamma),
+        n1_max=args.grid[0],
+        n2_max=args.grid[1],
+        c1_over_c=args.c1,
+        c2_over_c=args.c2,
     )
 
 
-def _cmd_steady(args, filecfg) -> Table:
+def _cmd_steady(args) -> Table:
     return steady_sweep(
-        _mazer_config(args, filecfg),
-        method=_pick(args, filecfg, "method", "rk4", str),
-        dt=_pick(args, filecfg, "dt", 2e-3, float),
-        tol=_pick(args, filecfg, "tol", 1e-12, float),
-        t_max=_pick(args, filecfg, "t_max", 500.0, float),
+        _mazer_config(args, args.g_ratio),
+        method=args.method,
+        dt=args.dt,
+        tol=args.tol,
+        t_max=args.t_max,
     )
 
 
-def _cmd_jc(args, filecfg) -> Table:
-    start = _pick(args, filecfg, "start", 0.0, float)
-    end = _pick(args, filecfg, "end", 2.0 * math.pi, float)
+def _cmd_jc(args) -> Table:
     return jc_sweep(
-        gamma=_pick(args, filecfg, "g_ratio", 2.0, float),
-        n1=_pick(args, filecfg, "n1", 0, int),
-        n2=_pick(args, filecfg, "n2", 0, int),
-        start=start,
-        end=end,
-        steps=_pick(args, filecfg, "steps", 2000, int),
+        gamma=args.g_ratio,
+        n1=args.n1,
+        n2=args.n2,
+        start=args.start,
+        end=args.end,
+        steps=args.steps,
     )
 
 
-def _cmd_oracle(args, filecfg) -> Table:
-    cfg = _mazer_config(args, filecfg)
-    cfg = replace(cfg, beam=replace(cfg.beam, gamma=0.0))
-    return oracle_table(cfg)
+def _cmd_oracle(args) -> Table:
+    return oracle_table(_mazer_config(args, gamma=0.0))
 
 
-def _cmd_units(args, filecfg) -> Table:
-    ps = PhysicalScale(
-        g1_rad_per_s=_pick(args, filecfg, "g1", DEFAULT_G1_RAD_PER_S, float),
-        atom_mass_kg=_pick(args, filecfg, "mass_kg", RB85_MASS_KG, float),
-    )
-    return units_table(
-        ps,
-        kappa_l=_pick(args, filecfg, "kappa_l", 20000.0 * math.pi, float),
-        k_ratio=_pick(args, filecfg, "k_ratio", 0.01, float),
-    )
+def _cmd_units(args) -> Table:
+    ps = PhysicalScale(g1_rad_per_s=args.g1, atom_mass_kg=args.mass_kg)
+    return units_table(ps, kappa_l=args.kappa_l, k_ratio=args.k_ratio)
 
 
-def _cmd_preset(args, filecfg) -> Table:
+def _cmd_preset(args) -> Table:
     return run_preset(
         args.name,
-        grid=_pick(args, filecfg, "grid", (128, 128), _parse_grid),
-        method=_pick(args, filecfg, "method", "rk4", str),
-        dt=_pick(args, filecfg, "dt", None, float),
-        tol=_pick(args, filecfg, "tol", 1e-12, float),
-        t_max=_pick(args, filecfg, "t_max", 500.0, float),
+        grid=args.grid,
+        method=args.method,
+        dt=args.dt,
+        tol=args.tol,
+        t_max=args.t_max,
     )
 
 
@@ -655,13 +618,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        filecfg = _load_config_file(getattr(args, "config", None))
-        table = _COMMANDS[args.command](args, filecfg)
-        out = args.out if args.out is not None else filecfg.get("out")
-        fmt = _pick(args, filecfg, "fmt", "csv", str)
-        _write(table, out, fmt)
+        if args.config is not None:
+            _apply_config_file(commands[args.command], args.config)
+            args = parser.parse_args(argv)
+        _write(_COMMANDS[args.command](args), args.out, args.format)
     except (SolverError, ValueError, OSError) as exc:
         print(f"cascade-mazer: {exc}", file=sys.stderr)
         return 1

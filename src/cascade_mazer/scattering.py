@@ -28,13 +28,10 @@ __all__ = [
     "branch_wavenumbers",
     "branch_amplitudes",
     "scatter_channels",
+    "channel_gains",
     "gain_probabilities",
     "ultracold_approx",
 ]
-
-# cosh overflows just above this; the stable path never forms cosh at all.
-_COSH_ARG_MAX = 700.0
-
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -195,48 +192,17 @@ def _branch_ramp(w2, k: float, length: float):
     return rho, tau
 
 
-def _branch_ramp_direct(w2: float, k: float, length: float):
-    """Literal complex-trig evaluation of the same amplitudes (diagnostic).
-
-    Kept for cross-checks against the stable form; refuses opacities where
-    cosh/sinh of q*L overflow instead of returning garbage.
-    """
-    kb = complex(math.sqrt(w2), 0.0) if w2 >= 0 else complex(0.0, math.sqrt(-w2))
-    if abs(kb.imag) * length > _COSH_ARG_MAX:
-        raise OverflowError(
-            f"kappa_l * q = {abs(kb.imag) * length:.3g} overflows the direct "
-            "trigonometric form; use the stable evaluation"
-        )
-    if kb == 0:
-        # barrier-top limit: sin(kb L)/kb -> L
-        delta_sin = -0.5 * k * length
-        sigma_sin = 0.5 * k * length
-        cos_term = 1.0
-    else:
-        delta = 0.5 * (kb / k - k / kb)
-        sigma = 0.5 * (kb / k + k / kb)
-        delta_sin = delta * np.sin(kb * length)
-        sigma_sin = sigma * np.sin(kb * length)
-        cos_term = np.cos(kb * length)
-    tau = np.exp(-1j * k * length) / (cos_term - 1j * sigma_sin)
-    rho = 1j * delta_sin * np.exp(1j * k * length) * tau
-    return complex(rho), complex(tau)
-
-
-def branch_amplitudes(inp: ScatterInput, stable: bool = True) -> BranchAmplitudes:
+def branch_amplitudes(inp: ScatterInput) -> BranchAmplitudes:
     """Scattering amplitudes of the two dressed branches.
 
     The barrier branch (+) sees a repulsive ramp, the well branch (-) an
-    attractive one of equal magnitude.  With stable=False the textbook
-    complex-trig expressions are evaluated literally as a diagnostic; that
-    path raises OverflowError deep in the tunneling regime.
+    attractive one of equal magnitude.
     """
     omega = float(_omega_scaled(inp.gamma, inp.n1, inp.n2))
     k = inp.k_ratio
     k2 = k * k
-    evaluate = _branch_ramp if stable else _branch_ramp_direct
-    rho_p, tau_p = evaluate(k2 - omega, k, inp.kappa_l)
-    rho_m, tau_m = evaluate(k2 + omega, k, inp.kappa_l)
+    rho_p, tau_p = _branch_ramp(k2 - omega, k, inp.kappa_l)
+    rho_m, tau_m = _branch_ramp(k2 + omega, k, inp.kappa_l)
     return BranchAmplitudes(
         rho_plus=complex(rho_p),
         tau_plus=complex(tau_p),
@@ -283,19 +249,27 @@ def scatter_channels(inp: ScatterInput) -> ScatterChannels:
     return ScatterChannels(*(complex(a) for a in amps))
 
 
+def _exit_probability(r, t):
+    """|r|^2 + |t|^2: leaving through one exit channel in either direction."""
+    return abs(r) ** 2 + abs(t) ** 2
+
+
+def channel_gains(ch: ScatterChannels) -> GainProbabilities:
+    """Gain probabilities carried by already evaluated exit channels."""
+    return GainProbabilities(
+        p_one=_exit_probability(ch.r_b1, ch.t_b1),
+        p_two=_exit_probability(ch.r_b2, ch.t_b2),
+    )
+
+
 def gain_probabilities(inp: ScatterInput) -> GainProbabilities:
     """Probabilities of leaving one photon (a->b1) or a photon pair (a->b2)."""
-    ch = scatter_channels(inp)
-    p_one = abs(ch.r_b1) ** 2 + abs(ch.t_b1) ** 2
-    p_two = abs(ch.r_b2) ** 2 + abs(ch.t_b2) ** 2
-    return GainProbabilities(p_one=p_one, p_two=p_two)
+    return channel_gains(scatter_channels(inp))
 
 
 def _gain_arrays(k: float, length: float, gamma: float, n1, n2):
     r_a, t_a, r_b1, t_b1, r_b2, t_b2 = _channel_arrays(k, length, gamma, n1, n2)
-    p_one = np.abs(r_b1) ** 2 + np.abs(t_b1) ** 2
-    p_two = np.abs(r_b2) ** 2 + np.abs(t_b2) ** 2
-    return p_one, p_two
+    return _exit_probability(r_b1, t_b1), _exit_probability(r_b2, t_b2)
 
 
 def ultracold_approx(gamma: float, n1: int, n2: int) -> GainProbabilities:

@@ -1,0 +1,49 @@
+"""Laboratory scales behind the dimensionless units.
+
+The coupling g1 and the atom mass fix the coupling wavenumber kappa through
+hbar*g1 = (hbar*kappa)^2 / (2 m); lengths kappa*L and momenta k/kappa then
+map to metres and kelvin.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from scipy import constants
+
+from .scattering import _require_finite
+
+__all__ = ["PhysicalScale", "physical_scale", "RB85_MASS_KG", "DEFAULT_G1_RAD_PER_S"]
+
+RB85_MASS_KG = 84.911789738 * constants.atomic_mass
+DEFAULT_G1_RAD_PER_S = 2.0 * math.pi * 1.0e7
+
+
+@dataclass(frozen=True)
+class PhysicalScale:
+    """Laboratory anchors fixing the dimensionless units."""
+
+    g1_rad_per_s: float = DEFAULT_G1_RAD_PER_S
+    atom_mass_kg: float = RB85_MASS_KG
+
+    def __post_init__(self):
+        for name in ("g1_rad_per_s", "atom_mass_kg"):
+            value = getattr(self, name)
+            _require_finite(name, value)
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
+def physical_scale(
+    ps: PhysicalScale, kappa_l: float, k_ratio: float
+) -> tuple[float, float, float]:
+    """(cavity length in m, atom temperature in K, kappa in 1/m).
+
+    kappa is fixed by hbar*g1 = (hbar*kappa)^2 / (2 m); the temperature is
+    the kinetic energy scale (k/kappa)^2 hbar g1 / k_B.
+    """
+    kappa = math.sqrt(2.0 * ps.atom_mass_kg * ps.g1_rad_per_s / constants.hbar)
+    length = kappa_l / kappa
+    temperature = k_ratio * k_ratio * constants.hbar * ps.g1_rad_per_s / constants.k
+    return length, temperature, kappa

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,12 @@ from cascade_mazer.cli import (
     units_table,
 )
 from cascade_mazer.master import MazerConfig
-from cascade_mazer.scattering import CavityBeam, ScatterInput
+from cascade_mazer.scattering import (
+    CavityBeam,
+    ScatterInput,
+    gain_probabilities,
+    scatter_channels,
+)
 
 BASE = ScatterInput(k_ratio=0.01, kappa_l=0.0, gamma=2.0, n1=0, n2=0)
 
@@ -91,11 +97,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(param="kappa_l", start=0.0, end=1.0, steps=1, base=BASE)
 
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            SweepSpec(param="kappa_l", start=0.0, end=1.0, steps=2, base=BASE,
-                      fmt="yaml")
-
 
 class TestEmissionSweep:
     def test_silent_cavity_row_emits_nothing(self):
@@ -119,9 +120,37 @@ class TestEmissionSweep:
         assert t.columns[0] == "k_ratio"
         assert len(t.rows) == 11
 
-    def test_concurrent_evaluation_is_deterministic(self):
+    def test_sweep_is_deterministic(self):
         spec = SweepSpec(param="kappa_l", start=0.0, end=500.0, steps=200, base=BASE)
         assert serialize(emission_sweep(spec)) == serialize(emission_sweep(spec))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # sampled points of the fig3a and fig3b windows
+            SweepSpec(param="kappa_l", start=62800.0, end=62864.0, steps=97, base=BASE),
+            SweepSpec(
+                param="kappa_l", start=0.0, end=2000.0 * math.pi, steps=89,
+                base=replace(BASE, k_ratio=100.0),
+            ),
+            SweepSpec(
+                param="k_ratio", start=0.05, end=3.0, steps=83,
+                base=ScatterInput(k_ratio=1.0, kappa_l=40.0, gamma=1.3, n1=3, n2=2),
+            ),
+        ],
+        ids=["fig3a-window", "fig3b-window", "k-ratio"],
+    )
+    def test_rows_equal_the_scalar_api(self, spec):
+        t = emission_sweep(spec)
+        for row in t.rows:
+            cells = dict(zip(t.columns, row))
+            inp = replace(spec.base, **{spec.param: cells[spec.param]})
+            gain = gain_probabilities(inp)
+            ch = scatter_channels(inp)
+            assert cells["p_one"] == gain.p_one
+            assert cells["p_two"] == gain.p_two
+            assert cells["refl_a"] == abs(ch.r_a) ** 2
+            assert cells["trans_a"] == abs(ch.t_a) ** 2
 
 
 def test_jc_sweep_shape_and_validation():
@@ -269,6 +298,30 @@ class TestCommandLine:
         assert t.meta["config"]["n1_max"] == 32
         assert t.meta["config"]["method"] == "direct"
 
+    def test_unknown_config_key_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 3\n")
+        assert main(["steady", "--config", str(cfg), "--grid", "16x16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cascade-mazer: ")
+        assert str(cfg) in err and "'gamma'" in err and "g-ratio" in err
+
+    @pytest.mark.parametrize(
+        "command, setting, flag",
+        [
+            (["steady"], "grid = abc", "--grid"),
+            (["emission"], "steps = 2.5", "--steps"),
+            (["steady"], "method = euler", "--method"),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command, setting, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_malformed_config_line_fails(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a setting\n")
@@ -281,6 +334,11 @@ class TestCommandLine:
         t = parse_table(capsys.readouterr().out)
         assert t.columns == ["n", "p1_balance", "p2_thermal"]
         assert t.meta["config"]["gamma"] == 0.0
+
+    def test_oracle_takes_no_solver_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-twolevel", "--method", "rk4"])
+        assert exc.value.code == 2
 
     def test_preset_command(self, tmp_path):
         out = tmp_path / "fig3b.csv"
