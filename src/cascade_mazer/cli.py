@@ -54,7 +54,7 @@ _SWEEPABLE = ("kappa_l", "k_ratio")
 
 # Grid and solver settings for callers and flags that give none.
 _GRID = (128, 128)
-_METHOD = "rk4"
+_METHOD = "direct"
 _DT = 2e-3
 _TOL = 1e-12
 _T_MAX = 500.0
@@ -185,6 +185,8 @@ def steady_sweep(
 ) -> Table:
     """Steady-state marginals P1(n), P2(n) with moment and solver metadata.
 
+    Solved directly unless method="rk4", the check that also takes grids
+    above MAX_DIRECT_STATES; dt, tol and t_max steer only RK4.
     With twolevel_column=True an extra column holds the detailed-balance
     mode-1 distribution of the same config at gamma = 0.
     """
@@ -349,7 +351,7 @@ def run_preset(
     tol: float = _TOL,
     t_max: float = _T_MAX,
 ) -> Table:
-    """Reproduce one published dataset; solver knobs may be overridden."""
+    """Reproduce one published dataset; steady ones solve directly unless method="rk4"."""
     if name in _EMISSION_PRESETS:
         params = _EMISSION_PRESETS[name]
         base = ScatterInput(
@@ -438,10 +440,11 @@ def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"grid must look like 128x128, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        n1, n2 = map(int, text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must look like 128x128, got {text!r}") from None
+    return n1, n2
 
 
 def _add_output_flags(sub):

@@ -278,6 +278,12 @@ class TestCommandLine:
         assert rc == 1
         assert "grid" in capsys.readouterr().err
 
+    def test_non_finite_solver_setting_exits_cleanly(self, capsys):
+        rc = main(["steady", "--method", "rk4", "--t-max", "inf", "--grid", "16x16"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "t_max must be finite" in err and "Traceback" not in err
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["steady", "--frobnicate"])
@@ -321,6 +327,16 @@ class TestCommandLine:
             main(command + ["--config", str(cfg)])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_malformed_grid_names_the_expected_form(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid = axb\n")
+        for argv in (["steady", "--grid", "axb"], ["steady", "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --grid: grid must look like 128x128" in err
 
     def test_malformed_config_line_fails(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

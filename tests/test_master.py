@@ -100,6 +100,38 @@ def reference_rk4(cfg, gains, dt, t_max, tol):
     raise AssertionError("reference RK4 did not converge")
 
 
+def flux_balance(cfg: MazerConfig, gains: GainTable, p: np.ndarray) -> tuple[float, float]:
+    """Residuals of the first-moment balance of each mode at a stationary p.
+
+    Multiplying the rate equation by n1 (or n2) and summing over the grid,
+    with edge the gain rate that leaves the top of the grid:
+        c1 (nb1 + 1) <n1> = sum_in-grid (g_b1 + g_b2 + c1 nb1 (n1 + 1)) P
+                            - sum n1 edge P
+        c2 (nb2 + 1) <n2> = sum_in-grid (g_b2 + c2 nb2 (n2 + 1)) P
+                            - sum n2 edge P
+    Built from the gain table and the damping rates, not from the generator,
+    so it checks the assembly as well as the solvers, at every gamma.  The
+    residual equals -sum n (A p), so it is bounded by max(n) |A p|_1.
+    """
+    n1 = np.arange(cfg.n1_max, dtype=float)[:, None]
+    n2 = np.arange(cfg.n2_max, dtype=float)[None, :]
+    c1, c2 = cfg.c1_over_c, cfg.c2_over_c
+    edge = np.zeros_like(p)
+    edge[-1, :] = gains.g_b1[-1, :] + gains.g_b2[-1, :]
+    edge[:-1, -1] = gains.g_b2[:-1, -1]
+    one = (gains.g_b1 * p)[:-1, :].sum()
+    pair = (gains.g_b2 * p)[:-1, :-1].sum()
+    up1 = (cfg.nb1 * c1 * (n1 + 1.0) * p)[:-1, :].sum()
+    up2 = (cfg.nb2 * c2 * (n2 + 1.0) * p)[:, :-1].sum()
+    mode1 = c1 * (cfg.nb1 + 1.0) * (n1 * p).sum() - (
+        one + pair + up1 - (n1 * edge * p).sum()
+    )
+    mode2 = c2 * (cfg.nb2 + 1.0) * (n2 * p).sum() - (
+        pair + up2 - (n2 * edge * p).sum()
+    )
+    return float(mode1), float(mode2)
+
+
 class TestValidation:
     def test_config_rejects_bad_rates(self):
         with pytest.raises(ValueError):
@@ -297,6 +329,12 @@ class TestRk4SteadyState:
         with pytest.raises(TruncationError):
             rk4_steady_state(config(n=8), tol=1e-6, t_max=200.0)
 
+    @pytest.mark.parametrize("name", ["dt", "t_max", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_settings(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rk4_steady_state(config(n=8), **{name: value})
+
     def test_matches_textbook_rk4_on_reference_flows(self):
         cfg = MazerConfig(r_over_c=0.3, nb1=0.05, nb2=0.1, beam=PLATEAU_BEAM,
                           n1_max=12, n2_max=10, c1_over_c=0.8, c2_over_c=1.2)
@@ -327,8 +365,14 @@ class TestDirectSteadyState:
         assert np.abs(p2 - thermal(0.5, 24)).sum() < 1e-12
 
     def test_rejects_oversized_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="--method rk4"):
             direct_steady_state(config(n=300))
+
+    def test_undersized_grid_fails_loudly(self):
+        # mean occupation ~16 cannot fit an 8x8 grid: the stationary leak is
+        # the residual, and it is reported as a truncation
+        with pytest.raises(TruncationError, match="enlarge the photon grid"):
+            direct_steady_state(config(n=8))
 
     def test_agrees_with_time_stepping(self):
         cfg = config(r=10.0, n=32)
@@ -390,3 +434,31 @@ class TestDetailedBalanceOracle:
         m1, m2 = marginals(res.dist)
         assert np.abs(p1 - m1).sum() < 1e-6
         assert np.abs(p2 - m2).sum() < 1e-10
+
+
+class TestFluxBalance:
+    # k/kappa = 1.1 gives one-photon fluxes comparable to the pair flux
+    @pytest.mark.parametrize("nb", [0.0, 0.3])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+    def test_both_solvers_balance_each_mode(self, gamma, nb):
+        beam = CavityBeam(k_ratio=1.1, kappa_l=20000.0 * math.pi, gamma=gamma)
+        cfg = MazerConfig(r_over_c=4.0, nb1=nb, nb2=nb, beam=beam, n1_max=32,
+                          n2_max=32, c1_over_c=0.8, c2_over_c=1.3)
+        gains = build_gain_table(cfg)
+        solved = direct_steady_state(cfg, gains=gains)
+        assert max(map(abs, flux_balance(cfg, gains, solved.dist.p))) < 1e-12
+        stepped = rk4_steady_state(cfg, dt=0.01, tol=1e-11, gains=gains)
+        bound = (cfg.n1_max - 1) * stepped.residual + 1e-12
+        assert max(map(abs, flux_balance(cfg, gains, stepped.dist.p))) < bound
+
+    def test_one_photon_flux_splits_the_equal_coupling_means(self):
+        # fig4b: with nb = 0 and equal damping the two balances subtract to
+        # <n1> - <n2> = sum g_b1 P, the gap criterion 4 measures
+        beam = CavityBeam(k_ratio=0.01, kappa_l=20000.0 * math.pi, gamma=1.0)
+        cfg = config(beam=beam, n=128)
+        gains = build_gain_table(cfg)
+        p = direct_steady_state(cfg, gains=gains).dist.p
+        n = np.arange(128)
+        gap = n @ p.sum(axis=1) - n @ p.sum(axis=0)
+        assert gap > 0.1
+        assert abs(gap - (gains.g_b1 * p).sum()) < 1e-12
