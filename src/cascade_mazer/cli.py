@@ -270,7 +270,15 @@ def units_table(ps: PhysicalScale, kappa_l: float, k_ratio: float) -> Table:
 
 
 def serialize(table: Table, fmt: str = "csv") -> str:
-    """Render a table; identical input yields bit-identical text."""
+    """Render a table; identical input yields bit-identical text.
+
+    Non-finite cells are refused: they mean the inputs overflowed.
+    """
+    for row in table.rows:
+        for column, value in zip(table.columns, row):
+            if not math.isfinite(value):
+                raise ValueError(f"{column} = {value!r}: the inputs overflow; "
+                                 "bring them to a physical scale")
     if fmt == "csv":
         lines = ["# " + json.dumps(table.meta, sort_keys=True, separators=(",", ":"))]
         lines.append(",".join(table.columns))

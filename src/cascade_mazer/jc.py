@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scattering import GainProbabilities, _require_count, _require_finite
+from .scattering import GainProbabilities, _require_count, _require_nonnegative
 
 __all__ = ["JcInput", "jc_gain", "g1_tau_from_beam"]
 
@@ -33,12 +33,8 @@ class JcInput:
     g1_tau: float
 
     def __post_init__(self):
-        _require_finite("gamma", self.gamma)
-        _require_finite("g1_tau", self.g1_tau)
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
-        if self.g1_tau < 0:
-            raise ValueError(f"g1_tau must be >= 0, got {self.g1_tau!r}")
+        _require_nonnegative("gamma", self.gamma)
+        _require_nonnegative("g1_tau", self.g1_tau)
         _require_count("n1", self.n1)
         _require_count("n2", self.n2)
 

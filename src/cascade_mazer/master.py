@@ -11,6 +11,10 @@ Truncation policy: gain flows leaving the top of the grid are integrated
 into a tail_leak diagnostic instead of being dropped silently, while the
 thermal up-flow out of the last row/column is suppressed so that a purely
 thermal cavity keeps its exact truncated geometric steady state.
+
+Each flow moves probability by a fixed offset in the flattened grid, so the
+generator is one DIA matrix built from the per-flow rate arrays; the time
+stepper applies it as built, the direct solve factorizes its CSR form.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .scattering import CavityBeam, _gain_arrays, _require_finite
+from .scattering import (
+    CavityBeam, _gain_arrays, _require_finite, _require_nonnegative, _require_positive
+)
 
 __all__ = [
     "MazerConfig",
@@ -84,15 +90,9 @@ class MazerConfig:
 
     def __post_init__(self):
         for name in ("nb1", "nb2"):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            _require_nonnegative(name, getattr(self, name))
         for name in ("r_over_c", "c1_over_c", "c2_over_c"):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+            _require_positive(name, getattr(self, name))
         for name in ("n1_max", "n2_max"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -177,11 +177,12 @@ def build_gain_table(cfg: MazerConfig) -> GainTable:
 
 
 class _RateGenerator:
-    """The rate equation as one sparse matrix acting on p.ravel().
+    """The rate equation as one DIA matrix acting on p.ravel().
 
-    matrix() holds every in-grid flow; the gain flows that leave the top of
-    the grid have no row to land in and are returned as the leak rate, a dot
-    product of their rates with the edge entries of p.
+    matrix() holds every in-grid flow, one diagonal per flow that is on; the
+    gain flows that leave the top of the grid have no row to land in and are
+    returned as the leak rate, a dot product of their rates with the edge
+    entries of p.
     """
 
     def __init__(self, cfg: MazerConfig, gains: GainTable):
@@ -208,29 +209,24 @@ class _RateGenerator:
             + up1_w + up2_w
         )
 
-        idx = np.arange(n1_max * n2_max).reshape(n1_max, n2_max)
-        rows = [idx.ravel()]
-        cols = [idx.ravel()]
-        vals = [-outflow.ravel()]
-
-        def flow(dest, src, rate):
-            rows.append(dest.ravel())
-            cols.append(src.ravel())
-            vals.append(np.broadcast_to(rate, dest.shape).ravel())
-
-        flow(idx[1:, :], idx[:-1, :], gains.g_b1[:-1, :])
-        flow(idx[1:, 1:], idx[:-1, :-1], gains.g_b2[:-1, :-1])
-        flow(idx[:-1, :], idx[1:, :], c1 * (cfg.nb1 + 1.0) * n1[1:, :])
-        flow(idx[:, :-1], idx[:, 1:], c2 * (cfg.nb2 + 1.0) * n2[:, 1:])
-        if cfg.nb1 > 0:
-            flow(idx[1:, :], idx[:-1, :], cfg.nb1 * c1 * n1[1:, :])
-        if cfg.nb2 > 0:
-            flow(idx[:, 1:], idx[:, :-1], cfg.nb2 * c2 * n2[:, 1:])
-        n = n1_max * n2_max
-        self._matrix = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
+        # One diagonal per flow: (offset = source - destination, rate at each
+        # source), offsets ascending.  Flows out of the top row fall off the
+        # matrix; rates that would wrap across a row are zero.
+        pair = gains.g_b2.copy()
+        pair[:, -1] = 0.0
+        flows = (
+            (-(n2_max + 1), pair),
+            (-n2_max, gains.g_b1 + up1_w),
+            (-1, up2_w),
+            (0, -outflow),
+            (1, c2 * (cfg.nb2 + 1.0) * n2),
+            (n2_max, c1 * (cfg.nb1 + 1.0) * n1),
+        )
+        offsets, rates = zip(*[(offset, rate) for offset, rate in flows if rate.any()])
+        self._matrix = sp.dia_matrix(
+            (np.stack([np.broadcast_to(rate, self.shape).ravel() for rate in rates]), offsets),
+            shape=(n1_max * n2_max,) * 2,
+        )
 
         # Gain flows with no in-grid destination: last row (both gains) and
         # last column below it (pair gain only).
@@ -240,8 +236,8 @@ class _RateGenerator:
     def max_outflow(self) -> float:
         return float(-self._matrix.diagonal().min())
 
-    def matrix(self) -> sp.csr_matrix:
-        """The flows as a CSR matrix on p.ravel(); shared, do not modify."""
+    def matrix(self) -> sp.dia_matrix:
+        """The flows as a DIA matrix on p.ravel(); shared, do not modify."""
         return self._matrix
 
     def leak(self, p: np.ndarray) -> float:
@@ -328,9 +324,7 @@ def rk4_steady_state(
             f"use dt <= {2.5 / rate_scale:.3e}"
         )
 
-    # The generator has five diagonals (six when nb2 > 0), so its DIA
-    # form steps about twice as fast as CSR.
-    mat = gen.matrix().todia()
+    mat = gen.matrix()
     p = p0.p.ravel().copy()
     stage = np.empty_like(p)
     stage_grid = stage.reshape(gen.shape)  # a view, for the leak
@@ -390,20 +384,10 @@ def direct_steady_state(
     if gains is None:
         gains = build_gain_table(cfg)
     gen = _RateGenerator(cfg, gains)
-    mat = gen.matrix()
-
-    # Row 0 becomes the normalization sum(p) = 1: splice a row of ones in
-    # front of rows 1.. of the CSR arrays.
-    row0_end = mat.indptr[1]
-    normalized = sp.csr_matrix(
-        (
-            np.concatenate((np.ones(n_states), mat.data[row0_end:])),
-            np.concatenate(
-                (np.arange(n_states, dtype=mat.indices.dtype), mat.indices[row0_end:])
-            ),
-            np.concatenate((mat.indptr[:1], mat.indptr[1:] - row0_end + n_states)),
-        ),
-        shape=mat.shape,
+    mat = gen.matrix().tocsr()
+    # Row 0 becomes the normalization sum(p) = 1.
+    normalized = sp.vstack(
+        [sp.csr_matrix(np.ones((1, n_states))), mat[1:]], format="csr"
     )
     rhs = np.zeros(n_states)
     rhs[0] = 1.0
@@ -448,8 +432,11 @@ def twolevel_detailed_balance(cfg: MazerConfig) -> tuple[np.ndarray, np.ndarray]
         raise ValueError("detailed-balance oracle requires gamma = 0")
     if cfg.c1_over_c <= 0 or cfg.c2_over_c <= 0:
         raise ValueError("detailed balance needs strictly positive damping")
-    gains = build_gain_table(cfg)
-    g_b1 = gains.g_b1[:, 0]
+    # Mode 1 moves alone at gamma = 0: its gain on the n1 axis suffices.
+    p_one, _ = _gain_arrays(
+        cfg.beam.k_ratio, cfg.beam.kappa_l, 0.0, np.arange(cfg.n1_max), 0
+    )
+    g_b1 = cfg.r_over_c * p_one
 
     p1 = np.empty(cfg.n1_max)
     p1[0] = 1.0

@@ -38,6 +38,18 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    _require_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    _require_finite(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
 def _require_count(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -57,14 +69,9 @@ class CavityBeam:
     gamma: float
 
     def __post_init__(self):
-        for name in ("k_ratio", "kappa_l", "gamma"):
-            _require_finite(name, getattr(self, name))
-        if self.k_ratio <= 0:
-            raise ValueError(f"k_ratio must be > 0, got {self.k_ratio!r}")
-        if self.kappa_l < 0:
-            raise ValueError(f"kappa_l must be >= 0, got {self.kappa_l!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
+        _require_positive("k_ratio", self.k_ratio)
+        _require_nonnegative("kappa_l", self.kappa_l)
+        _require_nonnegative("gamma", self.gamma)
 
     def with_photons(self, n1: int, n2: int) -> "ScatterInput":
         return ScatterInput(self.k_ratio, self.kappa_l, self.gamma, n1, n2)
@@ -212,14 +219,10 @@ def branch_amplitudes(inp: ScatterInput) -> BranchAmplitudes:
 
 
 def _channel_arrays(k: float, length: float, gamma: float, n1, n2):
-    """Six channel amplitudes, vectorized over photon numbers."""
+    """Six channel amplitudes, vectorized over photon numbers and length."""
     omega = _omega_scaled(gamma, n1, n2)
     u = np.sqrt(np.asarray(n1) + 1.0) / omega
     v = gamma * np.sqrt(np.asarray(n2) + 1.0) / omega
-    if length == 0.0:
-        # zero-length cavity is the identity scatterer, bit-exactly
-        zero = np.zeros(np.broadcast(u, v).shape, dtype=complex)
-        return zero, np.ones_like(zero), zero, zero, zero, zero
     k2 = k * k
     rho_p, tau_p = _branch_ramp(k2 - omega, k, length)
     rho_m, tau_m = _branch_ramp(k2 + omega, k, length)
@@ -230,7 +233,9 @@ def _channel_arrays(k: float, length: float, gamma: float, n1, n2):
     tau_diff = 0.5 * (tau_p - tau_m)
 
     r_a = u * u * rho_sum
-    t_a = u * u * tau_sum + v * v
+    # A zero-length cavity is the identity: the other five channels vanish
+    # exactly there, but u^2 + v^2 can miss 1 by an ulp.
+    t_a = np.where(length == 0.0, 1.0, u * u * tau_sum + v * v)
     r_b1 = u * rho_diff
     t_b1 = u * tau_diff
     r_b2 = u * v * rho_sum
@@ -279,9 +284,7 @@ def ultracold_approx(gamma: float, n1: int, n2: int) -> GainProbabilities:
     phase, leaving p_one ~ 0 while the dark-state interference keeps
     p_two = 2 gamma^2 (n1+1)(n2+1) / ((n1+1) + gamma^2 (n2+1))^2 finite.
     """
-    _require_finite("gamma", gamma)
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    _require_nonnegative("gamma", gamma)
     _require_count("n1", n1)
     _require_count("n2", n2)
     a = n1 + 1.0

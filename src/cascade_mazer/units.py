@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from scipy import constants
 
-from .scattering import _require_finite
+from .scattering import _require_nonnegative, _require_positive
 
 __all__ = ["PhysicalScale", "physical_scale", "RB85_MASS_KG", "DEFAULT_G1_RAD_PER_S"]
 
@@ -29,10 +29,7 @@ class PhysicalScale:
 
     def __post_init__(self):
         for name in ("g1_rad_per_s", "atom_mass_kg"):
-            value = getattr(self, name)
-            _require_finite(name, value)
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+            _require_positive(name, getattr(self, name))
 
 
 def physical_scale(
@@ -41,9 +38,14 @@ def physical_scale(
     """(cavity length in m, atom temperature in K, kappa in 1/m).
 
     kappa is fixed by hbar*g1 = (hbar*kappa)^2 / (2 m); the temperature is
-    the kinetic energy scale (k/kappa)^2 hbar g1 / k_B.
+    the kinetic energy scale (k/kappa)^2 hbar g1 / k_B.  A stationary atom
+    (k_ratio = 0) has zero temperature here, though CavityBeam refuses it.
     """
+    _require_nonnegative("kappa_l", kappa_l)
+    _require_nonnegative("k_ratio", k_ratio)
     kappa = math.sqrt(2.0 * ps.atom_mass_kg * ps.g1_rad_per_s / constants.hbar)
+    if kappa == 0.0:
+        raise ValueError("kappa underflows to 0; bring g1 and the mass to a physical scale")
     length = kappa_l / kappa
     temperature = k_ratio * k_ratio * constants.hbar * ps.g1_rad_per_s / constants.k
     return length, temperature, kappa

@@ -149,7 +149,7 @@ def test_criterion_5_coupling_ratio_splits_the_statistics(fig4a_table):
     split_ok = m["var1_norm"] > 1.0 + 1e-3 and m["var2_norm"] < 1.0 - 1e-3
     p1_strong, p2_strong = table_marginals(fig4a_table)
 
-    swapped = rk4_steady_state(fig_config(gamma=0.5))
+    swapped = direct_steady_state(fig_config(gamma=0.5))
     ms = moments(swapped.dist)
     q1, q2 = marginals(swapped.dist)
     swap_ok = ms.var1_norm < 1.0 - 1e-3 and ms.var2_norm > 1.0 + 1e-3

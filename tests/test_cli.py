@@ -1,11 +1,15 @@
 """Sweep tables, serialization, presets and the command-line surface."""
 
+import contextlib
+import io
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cascade_mazer.cli import (
     PhysicalScale,
@@ -80,6 +84,11 @@ class TestSerialization:
         a = serialize(self.sample(), "json")
         b = serialize(self.sample(), "json")
         assert a == b
+
+    def test_non_finite_cell_rejected(self):
+        t = Table(columns=["n", "value"], rows=[[0, 0.5], [1, math.inf]], meta={})
+        with pytest.raises(ValueError, match="value = inf: the inputs overflow;"):
+            serialize(t)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -338,6 +347,19 @@ class TestCommandLine:
             err = capsys.readouterr().err
             assert "argument --grid: grid must look like 128x128" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--kappa-l", "-5", "kappa_l must be >= 0, got -5.0"),
+            ("--kappa-l", "inf", "kappa_l must be finite, got inf"),
+            ("--k-ratio", "nan", "k_ratio must be finite, got nan"),
+            ("--k-ratio", "-1", "k_ratio must be >= 0, got -1.0"),
+        ],
+    )
+    def test_units_rejects_impossible_beams(self, capsys, flag, value, message):
+        assert main(["units", flag, value]) == 1
+        assert capsys.readouterr().err == f"cascade-mazer: {message}\n"
+
     def test_malformed_config_line_fails(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a setting\n")
@@ -361,3 +383,70 @@ class TestCommandLine:
         rc = main(["preset", "fig3b", "--out", str(out)])
         assert rc == 0
         assert parse_table(out.read_text()).meta["preset"] == "fig3b"
+
+
+# Cheap commands only: sweeps of at most 5 points, grids of at most 8x8, and
+# never the time stepper, whose default t_max takes seconds even on 8x8.
+_FUZZ_NUMBERS = st.sampled_from(
+    ["0", "-0.0", "-1", "1e-300", "0.5", "3", "1e308", "nan", "inf", "-inf"]
+) | st.floats(-1e3, 1e3).map(repr)
+_FUZZ_GRIDS = st.sampled_from(
+    ["2x2", "8x8", "3x8", "8x2", "1x8", "0x4", "-2x4", "8", "8x8x8", "axb", ""]
+)
+_FUZZ_FLAGS = {
+    "units": ["--k-ratio", "--kappa-l", "--g1", "--mass-kg"],
+    "jc": ["--g-ratio", "--start", "--end"],
+    "emission": ["--k-ratio", "--kappa-l", "--g-ratio", "--start", "--end"],
+    "oracle-twolevel": ["--k-ratio", "--kappa-l", "--r-over-c", "--nb", "--c1", "--c2"],
+    "steady": ["--k-ratio", "--kappa-l", "--g-ratio", "--r-over-c", "--nb", "--c1", "--c2"],
+}
+_FUZZ_CONFIG_KEYS = ["grid", "steps", "k-ratio", "nb", "start", "gamma", "frobnicate"]
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(_FUZZ_FLAGS[command]), unique=True)):
+        argv.append(f"{flag}={draw(_FUZZ_NUMBERS)}")
+    if command in ("jc", "emission"):
+        argv += [f"--steps={draw(st.integers(-1, 5))}",
+                 f"--n1={draw(st.integers(-1, 4))}", f"--n2={draw(st.integers(-1, 4))}"]
+    if command == "emission":
+        argv.append(f"--sweep={draw(st.sampled_from(['kappa-l', 'k-ratio']))}")
+    if command in ("oracle-twolevel", "steady"):
+        argv.append(f"--grid={draw(_FUZZ_GRIDS)}")
+    argv.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
+    return argv, draw(st.none() | st.tuples(
+        st.sampled_from(_FUZZ_CONFIG_KEYS), _FUZZ_NUMBERS | _FUZZ_GRIDS))
+
+
+class TestCommandLineFuzz:
+    # overflowing inputs warn inside numpy before the table check refuses them
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_cli_argv())
+    @example(case=(["units", "--kappa-l=inf"], None))
+    @example(case=(["units", "--k-ratio=nan"], None))
+    @example(case=(["units", "--g1=1e-300"], None))
+    @example(case=(["oracle-twolevel", "--k-ratio=1e308", "--grid=2x2"], None))
+    @example(case=(["emission", "--sweep=k-ratio", "--start=-1", "--end=1", "--steps=3"], None))
+    def test_exits_cleanly_with_finite_tables(self, tmp_path_factory, case):
+        argv, setting = case
+        workdir = tmp_path_factory.mktemp("fuzz")
+        out = workdir / "table"
+        argv = argv + ["--out", str(out)]
+        if setting is not None:
+            (workdir / "run.cfg").write_text(f"{setting[0]} = {setting[1]}\n")
+            argv += ["--config", str(workdir / "run.cfg")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            table = parse_table(out.read_text())
+            assert all(math.isfinite(cell) for row in table.rows for cell in row)

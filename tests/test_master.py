@@ -258,22 +258,31 @@ class TestApplyGenerator:
     def test_sparse_matrix_agrees_with_apply(self):
         rng = np.random.default_rng(13)
         # square and non-square grids (the DIA offsets depend on n2), cold and
-        # thermal modes, unequal damping
-        for n1, n2, nb1, nb2, c1, c2 in [
-            (14, 14, 0.0, 0.0, 1.0, 1.0),
-            (14, 14, 0.4, 0.4, 1.0, 1.0),
-            (9, 15, 0.3, 0.7, 0.6, 1.4),
-            (15, 9, 0.0, 0.5, 1.3, 0.8),
-            (11, 6, 0.9, 0.0, 1.0, 2.5),
+        # thermal modes, unequal damping, and no pair gain (gamma = 0)
+        for n1, n2, nb1, nb2, c1, c2, pair in [
+            (14, 14, 0.0, 0.0, 1.0, 1.0, 5.0),
+            (14, 14, 0.4, 0.4, 1.0, 1.0, 5.0),
+            (9, 15, 0.3, 0.7, 0.6, 1.4, 5.0),
+            (15, 9, 0.0, 0.5, 1.3, 0.8, 5.0),
+            (11, 6, 0.9, 0.0, 1.0, 2.5, 5.0),
+            (12, 9, 0.0, 0.0, 1.0, 1.0, 0.0),
+            (9, 14, 0.6, 0.6, 0.7, 1.2, 0.0),
         ]:
             cfg = MazerConfig(r_over_c=50.0, nb1=nb1, nb2=nb2, beam=PLATEAU_BEAM,
                               n1_max=n1, n2_max=n2, c1_over_c=c1, c2_over_c=c2)
             # random gains reach every flow, the grid edges included
-            gains = GainTable(g_b1=rng.random((n1, n2)), g_b2=5.0 * rng.random((n1, n2)))
+            gains = GainTable(g_b1=rng.random((n1, n2)), g_b2=pair * rng.random((n1, n2)))
             reference = ReferenceFlows(cfg, gains)
             gen = _RateGenerator(cfg, gains)
-            csr = gen.matrix()
-            dia = csr.todia()
+            dia = gen.matrix()
+            csr = dia.tocsr()
+            # one diagonal per flow that moves probability: the one-photon
+            # gain and mode-1 up-flow share one, the pair gain and the mode-2
+            # up-flow are stored only when they are on
+            assert dia.offsets.size == 4 + (pair > 0) + (nb2 > 0)
+            assert np.all(np.diff(dia.offsets) > 0)
+            assert all(row.any() for row in dia.data)
+            assert np.all(csr.data != 0.0)
             assert gen.max_outflow() == reference.outflow.max()
             for _ in range(5):
                 p = rng.random((n1, n2))
@@ -282,8 +291,8 @@ class TestApplyGenerator:
                 dp, leak = apply_generator(cfg, gains, p)
                 assert leak == want_leak > 0.0
                 assert np.abs(dp - want_dp).max() < 1e-13
-                assert np.abs(csr @ p.ravel() - want_dp.ravel()).max() < 1e-13
                 assert np.abs(dia @ p.ravel() - want_dp.ravel()).max() < 1e-13
+                assert np.abs(csr @ p.ravel() - want_dp.ravel()).max() < 1e-13
 
 
 class TestRk4SteadyState:

@@ -7,6 +7,7 @@ expressions: it matches plane waves at the two cavity faces by solving the
 
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cascade_mazer.scattering import (
     gain_probabilities,
     scatter_channels,
     ultracold_approx,
+    _channel_arrays,
 )
 
 # flagship operating point: deep tunneling, maximal two-photon gain
@@ -265,6 +267,21 @@ class TestScatterChannels:
         )
         assert ch.t_a == 1.0
         assert (ch.r_a, ch.r_b1, ch.t_b1, ch.r_b2, ch.t_b2) == (0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("k", [0.01, 0.8, 30.0])
+    def test_kernel_broadcasts_over_length(self, k):
+        # one kernel call over cavity lengths, zero included: the zero-length
+        # entries are the exact identity, the others equal the scalar API
+        lengths = np.array([0.0, 0.3, 7.5, 0.0, 20000.0 * math.pi, 1e5])
+        gamma, n1, n2 = 1.7, 3, 5
+        amps = _channel_arrays(k, lengths, gamma, n1, n2)
+        for i, length in enumerate(lengths):
+            got = [a[i] for a in amps]
+            if length == 0.0:
+                assert got == [0, 1, 0, 0, 0, 0]
+                continue
+            want = astuple(scatter_channels(ScatterInput(k, float(length), gamma, n1, n2)))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
 
     def test_decoupled_lower_mode_emits_nothing(self):
         ch = scatter_channels(
