@@ -14,7 +14,10 @@ thermal cavity keeps its exact truncated geometric steady state.
 
 Each flow moves probability by a fixed offset in the flattened grid, so the
 generator is one DIA matrix built from the per-flow rate arrays; the time
-stepper applies it as built, the direct solve factorizes its CSR form.
+stepper applies it as built.  The direct solve pins the vacuum instead of
+adding a dense normalization row, orders the grid by nested dissection and
+factorizes without row swaps, which the M-matrix structure of the pinned
+generator makes stable.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ TAIL_TOLERANCE = 1e-6
 
 # Largest grid the sparse direct solver accepts.
 MAX_DIRECT_STATES = 2**16
+
+# The detailed-balance recursion rescales its running product above this, so
+# a step whose up rate and up/down ratio stay below 2**523 cannot overflow.
+_RESCALE_ABOVE = 2.0**500
 
 
 class SolverError(RuntimeError):
@@ -111,6 +118,14 @@ class GainTable:
     def __post_init__(self):
         if self.g_b1.shape != self.g_b2.shape or self.g_b1.ndim != 2:
             raise ValueError("gain tables must be two matching 2-d arrays")
+        for name in ("g_b1", "g_b2"):
+            gain = getattr(self, name)
+            if not np.all(np.isfinite(gain)):
+                n1, n2 = np.argwhere(~np.isfinite(gain))[0]
+                raise ValueError(
+                    f"{name} is not finite at (n1, n2) = ({n1}, {n2}): the "
+                    "beam overflows double precision; lower k_ratio or kappa_l"
+                )
         if np.any(self.g_b1 < 0) or np.any(self.g_b2 < 0):
             raise ValueError("gain rates must be nonnegative")
 
@@ -173,7 +188,10 @@ def build_gain_table(cfg: MazerConfig) -> GainTable:
     p_one, p_two = _gain_arrays(
         cfg.beam.k_ratio, cfg.beam.kappa_l, cfg.beam.gamma, n1, n2
     )
-    return GainTable(g_b1=cfg.r_over_c * p_one, g_b2=cfg.r_over_c * p_two)
+    try:
+        return GainTable(g_b1=cfg.r_over_c * p_one, g_b2=cfg.r_over_c * p_two)
+    except ValueError as err:
+        raise ValueError(f"gain table of {cfg.beam}: {err}") from None
 
 
 class _RateGenerator:
@@ -270,13 +288,18 @@ def _require_small_leak(tail_leak: float) -> None:
         )
 
 
-def _finalize(p: np.ndarray, tail_leak: float) -> JointDistribution:
-    """Clamp roundoff negatives and enforce the truncation diagnostics."""
+def _clamp_roundoff(p: np.ndarray) -> np.ndarray:
+    """p with its roundoff negatives set to zero; larger negatives raise."""
     if p.min() < -1e-9:
         raise SolverError(
             f"distribution went negative beyond roundoff (min {p.min():.3e})"
         )
-    dist = JointDistribution(p=np.maximum(p, 0.0), tail_leak=tail_leak)
+    return np.maximum(p, 0.0)
+
+
+def _finalize(p: np.ndarray, tail_leak: float) -> JointDistribution:
+    """Clamp roundoff negatives and enforce the truncation diagnostics."""
+    dist = JointDistribution(p=_clamp_roundoff(p), tail_leak=tail_leak)
     _require_small_leak(tail_leak)
     tail = dist.tail_mass()
     if tail > TAIL_TOLERANCE:
@@ -366,14 +389,76 @@ def rk4_steady_state(
     )
 
 
+def _dissection_order(n1_max: int, n2_max: int) -> np.ndarray:
+    """Nested-dissection order of the flattened n1_max x n2_max grid.
+
+    Every flow moves at most one step along each axis, so one grid line
+    splits a block into two halves with no flow between them.  Each block is
+    cut across its longer side; both halves come first, the separating line
+    last, and a block of at most 64 states is one leaf.  Fill-in from
+    eliminating a half then stays inside that half and its separator
+    (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).
+    """
+    parts = []
+
+    def dissect(block: np.ndarray) -> None:
+        if block.size <= 64:
+            parts.append(block.ravel())
+            return
+        if block.shape[0] < block.shape[1]:
+            block = block.T
+        mid = block.shape[0] // 2
+        dissect(block[:mid])
+        dissect(block[mid + 1:])
+        parts.append(block[mid])
+
+    dissect(np.arange(n1_max * n2_max).reshape(n1_max, n2_max))
+    return np.concatenate(parts)
+
+
+def _pinned_solve(mat: sp.csr_matrix, shape: tuple[int, int]) -> np.ndarray:
+    """Normalized solution of mat p = 0 with the vacuum pinned, on the grid.
+
+    Column j of mat holds the flows out of state j: -outflow on the diagonal
+    and the in-grid rates, >= 0 and summing to at most the outflow, off it.
+    Row 0 becomes s e0 with right-hand side s, pinning p[0, 0] = 1; s is the
+    vacuum's outflow rate, so the pivot is also the largest entry of column
+    0.  Row 0 then holds its pivot alone and eliminating it updates nothing,
+    and the rest is minus a column-diagonally-dominant M-matrix, whose Schur
+    complements stay so.  No pivoting is needed: SuperLU's threshold
+    pivoting keeps every diagonal pivot in the nested-dissection order, and
+    no subtraction cancels (W. J. Stewart, Introduction to the Numerical
+    Solution of Markov Chains, 1994, ch. 2).
+    """
+    n_states = mat.shape[0]
+    scale = -mat[0, 0] or 1.0
+    pin = sp.csr_matrix(([scale], ([0], [0])), shape=(1, n_states))
+    pinned = sp.vstack([pin, mat[1:]], format="csr")
+    rhs = np.zeros(n_states)
+    rhs[0] = scale
+    order = _dissection_order(*shape)
+    solution = np.empty(n_states)
+    solution[order] = spla.spsolve(
+        pinned[order][:, order].tocsc(), rhs[order], permc_spec="NATURAL"
+    )
+    if not np.all(np.isfinite(solution)):
+        raise SolverError(
+            "direct solve produced non-finite entries: the generator looks "
+            "singular, or the vacuum is too improbable to pin; use method='rk4'"
+        )
+    return solution.reshape(shape) / solution.sum()
+
+
 def direct_steady_state(
     cfg: MazerConfig, *, gains: GainTable | None = None
 ) -> SteadyStateResult:
     """Stationary distribution from a sparse linear solve.
 
-    Replaces the redundant vacuum row of the rate matrix with the
-    normalization constraint and solves once; deterministic, and entirely
-    independent of the time stepper.
+    Pins p[0, 0] = 1 in place of the redundant vacuum row of the rate
+    matrix, factorizes once in nested-dissection order with the diagonal
+    pivots, which the pinned M-matrix makes stable (see _pinned_solve), and
+    normalizes; deterministic, and entirely independent of the time stepper.
+    tail_leak is the stationary outflow of the clamped p.
     """
     n_states = cfg.n1_max * cfg.n2_max
     if n_states > MAX_DIRECT_STATES:
@@ -385,35 +470,19 @@ def direct_steady_state(
         gains = build_gain_table(cfg)
     gen = _RateGenerator(cfg, gains)
     mat = gen.matrix().tocsr()
-    # Row 0 becomes the normalization sum(p) = 1.
-    normalized = sp.vstack(
-        [sp.csr_matrix(np.ones((1, n_states))), mat[1:]], format="csr"
-    )
-    rhs = np.zeros(n_states)
-    rhs[0] = 1.0
-    solution = spla.spsolve(normalized, rhs)
-
-    if not np.all(np.isfinite(solution)):
-        raise SolverError(
-            "direct solve produced non-finite entries; the generator looks "
-            "singular beyond the unique-steady-state case"
-        )
+    p = _clamp_roundoff(_pinned_solve(mat, gen.shape))
     # Rows 1.. of A p vanish and A p sums to -leak(p): the residual is the
     # leak, so only a residual above a small leak means ill-conditioning.
-    _require_small_leak(gen.leak(solution.reshape(gen.shape)))
-    residual = float(np.abs(mat @ solution).sum())
+    leak = gen.leak(p)
+    _require_small_leak(leak)
+    residual = float(np.abs(mat @ p.ravel()).sum())
     if residual > 1e-6:
         raise SolverError(
             f"stationary residual |A p| = {residual:.3e}; the generator looks "
             "degenerate or ill-conditioned"
         )
-    p = solution.reshape(cfg.n1_max, cfg.n2_max)
-    total = p.sum()
-    if not 1.0 - 1e-6 <= total <= 1.0 + 1e-6:
-        raise SolverError(f"stationary solution has mass {total:.9f}")
-    p = p / total
     return SteadyStateResult(
-        dist=_finalize(p, gen.leak(p)),
+        dist=_finalize(p, leak),
         method="direct",
         iterations=0,
         model_time=0.0,
@@ -445,6 +514,15 @@ def twolevel_detailed_balance(cfg: MazerConfig) -> tuple[np.ndarray, np.ndarray]
         up = c1 * cfg.nb1 * n + g_b1[n - 1]
         down = c1 * (cfg.nb1 + 1.0) * n
         p1[n] = p1[n - 1] * up / down
+        if p1[n] > _RESCALE_ABOVE:
+            # Scale by an exact power of two, so the normalized result keeps
+            # its bits; entries far below the peak may underflow to zero.
+            p1[: n + 1] = np.ldexp(p1[: n + 1], -math.frexp(p1[n])[1])
+    if not np.isfinite(p1.sum()):
+        raise ValueError(
+            "the detailed-balance ratio P(n)/P(n-1) overflows double "
+            "precision; raise c1_over_c or lower r_over_c"
+        )
     p1 /= p1.sum()
 
     ratio = cfg.nb2 / (cfg.nb2 + 1.0)

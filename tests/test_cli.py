@@ -243,6 +243,11 @@ class TestPresets:
         assert t.meta["moments"]["label1"] == "super-Poissonian"
         assert t.meta["moments"]["label2"] == "sub-Poissonian"
 
+    @pytest.mark.parametrize("name", ["fig4a", "fig4b", "fig5", "fig6", "fig7"])
+    def test_direct_preset_reports_nonnegative_leak(self, name):
+        # the leak is the outflow of the clamped, nonnegative distribution
+        assert run_preset(name).meta["convergence"]["tail_leak"] >= 0.0
+
     def test_thermal_preset_carries_oracle_column(self):
         # nb=1 widens the distribution: 64^2 leaks too much for the direct
         # solver's residual gate, 96^2 has the needed headroom

@@ -1,6 +1,7 @@
 """Pump-damping rate equation on the truncated photon grid."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from cascade_mazer.master import (
     rk4_steady_state,
     twolevel_detailed_balance,
     _RateGenerator,
+    _dissection_order,
+    _pinned_solve,
 )
 from cascade_mazer.scattering import CavityBeam, gain_probabilities, ultracold_approx
 from cascade_mazer.stats import marginals
@@ -100,6 +103,41 @@ def reference_rk4(cfg, gains, dt, t_max, tol):
     raise AssertionError("reference RK4 did not converge")
 
 
+def exact_pinned_solve(cfg: MazerConfig, gains: GainTable) -> np.ndarray:
+    """The direct solve's pinned system solved in exact rational arithmetic.
+
+    Column j of the generator is the reference flows applied to the unit
+    vector at state j; its floats become exact fractions.  Row 0 becomes the
+    pin p[0, 0] = 1, Gaussian elimination in row order (the band reaches
+    n2_max + 1 states away) and back substitution solve it exactly, and the
+    normalized result is rounded once to floats.
+    """
+    flows = ReferenceFlows(cfg, gains)
+    n = cfg.n1_max * cfg.n2_max
+    rows = [{} for _ in range(n)]
+    for j, unit in enumerate(np.eye(n)):
+        column = flows.apply(unit.reshape(cfg.n1_max, cfg.n2_max))[0].ravel()
+        for i in np.flatnonzero(column):
+            rows[i][j] = Fraction(column[i])
+    rows[0] = {0: Fraction(1)}
+    rhs = [Fraction(0)] * n
+    rhs[0] = Fraction(1)
+    for k in range(n):
+        for i in range(k + 1, n):
+            if k in rows[i]:
+                factor = rows[i].pop(k) / rows[k][k]
+                for j, value in rows[k].items():
+                    if j > k:
+                        rows[i][j] = rows[i].get(j, 0) - factor * value
+                rhs[i] -= factor * rhs[k]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        known = sum(value * x[j] for j, value in rows[k].items() if j > k)
+        x[k] = (rhs[k] - known) / rows[k][k]
+    total = sum(x)
+    return np.array([float(v / total) for v in x]).reshape(cfg.n1_max, cfg.n2_max)
+
+
 def flux_balance(cfg: MazerConfig, gains: GainTable, p: np.ndarray) -> tuple[float, float]:
     """Residuals of the first-moment balance of each mode at a stationary p.
 
@@ -153,6 +191,17 @@ class TestValidation:
             GainTable(g_b1=np.zeros((3, 3)), g_b2=np.zeros((3, 4)))
         with pytest.raises(ValueError):
             GainTable(g_b1=-np.ones((3, 3)), g_b2=np.zeros((3, 3)))
+        g_b2 = np.zeros((3, 3))
+        g_b2[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"g_b2 is not finite at \(n1, n2\) = \(1, 2\)"):
+            GainTable(g_b1=np.zeros((3, 3)), g_b2=g_b2)
+
+    def test_overflowing_beam_is_named(self):
+        # k^2 overflows: the scattering amplitudes come out nan
+        beam = CavityBeam(k_ratio=1e200, kappa_l=20000.0 * math.pi, gamma=2.0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=r"CavityBeam\(k_ratio=1e\+200.*not finite"):
+                build_gain_table(config(beam=beam, n=4))
 
     def test_distribution_needs_finite_grid(self):
         with pytest.raises(ValueError):
@@ -389,6 +438,31 @@ class TestDirectSteadyState:
         b = direct_steady_state(cfg)
         assert np.abs(a.dist.p - b.dist.p).sum() < 1e-8
 
+    # (r/C, nb, k/kappa, gamma, the smallest exact entry is below this)
+    @pytest.mark.parametrize("r, nb, k_ratio, gamma, floor", [
+        (1e-4, 0.0, 0.01, 2.0, 1e-40),
+        (0.5, 0.3, 1.1, 1.0, 1e-7),
+        (1e-5, 0.0, 100.0, 0.5, 1e-50),
+    ])
+    def test_pinned_solve_matches_exact_arithmetic(self, r, nb, k_ratio, gamma, floor):
+        beam = CavityBeam(k_ratio=k_ratio, kappa_l=20000.0 * math.pi, gamma=gamma)
+        cfg = MazerConfig(r_over_c=r, nb1=nb, nb2=nb, beam=beam, n1_max=9, n2_max=8,
+                          c1_over_c=0.8, c2_over_c=1.3)
+        gains = build_gain_table(cfg)
+        want = exact_pinned_solve(cfg, gains)
+        assert want.min() < floor
+        gen = _RateGenerator(cfg, gains)
+        got = _pinned_solve(gen.matrix().tocsr(), gen.shape)
+        # every entry to its own relative precision, the far tail included
+        assert np.max(np.abs(got - want) / want) < 1e-12
+        if nb == 0.0:  # nb = 0.3 does not fit a 9x8 grid's truncation gate
+            assert np.array_equal(direct_steady_state(cfg, gains=gains).dist.p, got)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 300), (3, 7), (9, 14), (256, 256)])
+    def test_dissection_order_is_a_permutation(self, shape):
+        order = _dissection_order(*shape)
+        assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
+
     def test_two_photon_pump_is_label_symmetric(self):
         # with the one-photon channel off and the plateau gains symmetrized,
         # nothing distinguishes the two modes
@@ -432,6 +506,22 @@ class TestDetailedBalanceOracle:
         q /= q.sum()
         assert np.abs(p1 - q).sum() < 1e-12
         assert p2 == pytest.approx(thermal(0.0, 4), abs=1e-15)
+
+    def test_rescales_instead_of_overflowing(self):
+        # each step multiplies P(n) by about 1e120
+        beam = CavityBeam(k_ratio=0.01, kappa_l=20000.0 * math.pi, gamma=0.0)
+        cfg = MazerConfig(r_over_c=50.0, nb1=0.0, nb2=0.0, beam=beam,
+                          n1_max=8, n2_max=2, c1_over_c=2.4e-120)
+        for p in twolevel_detailed_balance(cfg):
+            assert np.all(np.isfinite(p))
+            assert p.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_ratio_beyond_double_range_fails_loudly(self):
+        beam = CavityBeam(k_ratio=0.01, kappa_l=20000.0 * math.pi, gamma=0.0)
+        cfg = MazerConfig(r_over_c=50.0, nb1=0.0, nb2=0.0, beam=beam,
+                          n1_max=8, n2_max=2, c1_over_c=1e-310)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows double"):
+            twolevel_detailed_balance(cfg)
 
     def test_matches_integrated_steady_state(self):
         beam = CavityBeam(k_ratio=0.01, kappa_l=40000.0 * math.pi / math.sqrt(2.0),
