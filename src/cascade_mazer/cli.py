@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,10 @@ import numpy as np
 from . import __version__
 from .jc import JcInput, g1_tau_from_beam, jc_gain
 from .master import (
+    _DT,
+    _GRID,
+    _T_MAX,
+    _TOL,
     MazerConfig,
     SolverError,
     direct_steady_state,
@@ -52,12 +56,8 @@ __all__ = [
 
 _SWEEPABLE = ("kappa_l", "k_ratio")
 
-# Grid and solver settings for callers and flags that give none.
-_GRID = (128, 128)
+# Steady-state solver for callers and flags that give none.
 _METHOD = "direct"
-_DT = 2e-3
-_TOL = 1e-12
-_T_MAX = 500.0
 
 
 @dataclass
@@ -67,6 +67,19 @@ class Table:
     columns: list[str]
     rows: list[list]
     meta: dict = field(default_factory=dict)
+
+
+def _table(command: str, config: dict, columns: list[str], rows: list[list], **meta) -> Table:
+    """A table whose metadata names its command, the version and its config."""
+    meta = {"command": command, "version": __version__, "config": config, **meta}
+    return Table(columns=columns, rows=rows, meta=meta)
+
+
+def _require_range(start: float, end: float, steps: int) -> None:
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps!r}")
+    if not start < end:
+        raise ValueError(f"need start < end, got {start!r} >= {end!r}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +95,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in _SWEEPABLE:
             raise ValueError(f"param must be one of {_SWEEPABLE}, got {self.param!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps!r}")
-        if not self.start < self.end:
-            raise ValueError(f"need start < end, got {self.start!r} >= {self.end!r}")
+        _require_range(self.start, self.end, self.steps)
 
 
 def _emission_row(spec: SweepSpec, value: float) -> list[float]:
@@ -119,58 +129,37 @@ def emission_sweep(spec: SweepSpec) -> Table:
     g1*tau = kappa_l / (2 k/kappa) for the same point.
     """
     rows = [_emission_row(spec, v) for v in np.linspace(spec.start, spec.end, spec.steps)]
-    meta = {
-        "command": "emission",
-        "version": __version__,
-        "config": {
-            "param": spec.param,
-            "start": spec.start,
-            "end": spec.end,
-            "steps": spec.steps,
-            "k_ratio": spec.base.k_ratio,
-            "kappa_l": spec.base.kappa_l,
-            "gamma": spec.base.gamma,
-            "n1": spec.base.n1,
-            "n2": spec.base.n2,
-        },
-    }
+    config = dict(asdict(spec.base), param=spec.param, start=spec.start, end=spec.end,
+                  steps=spec.steps)
     columns = [spec.param, "p_one", "p_two", "refl_a", "trans_a", "jc_p_one", "jc_p_two"]
-    return Table(columns=columns, rows=rows, meta=meta)
+    return _table("emission", config, columns, rows)
 
 
 def jc_sweep(
     gamma: float, n1: int, n2: int, start: float, end: float, steps: int
 ) -> Table:
     """Timed-transit gains over a g1*tau range."""
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps!r}")
-    if not start < end:
-        raise ValueError(f"need start < end, got {start!r} >= {end!r}")
+    _require_range(start, end, steps)
     rows = []
     for value in np.linspace(start, end, steps):
         g = jc_gain(JcInput(gamma=gamma, n1=n1, n2=n2, g1_tau=float(value)))
         rows.append([float(value), g.p_one, g.p_two])
-    meta = {
-        "command": "jc",
-        "version": __version__,
-        "config": {"gamma": gamma, "n1": n1, "n2": n2, "start": start, "end": end, "steps": steps},
-    }
-    return Table(columns=["g1_tau", "p_one", "p_two"], rows=rows, meta=meta)
+    config = {"gamma": gamma, "n1": n1, "n2": n2, "start": start, "end": end, "steps": steps}
+    return _table("jc", config, ["g1_tau", "p_one", "p_two"], rows)
+
+
+def _marginal_rows(*series: np.ndarray) -> list[list]:
+    """Rows n, series[0][n], ...; each series is zero-padded to the longest."""
+    length = max(s.size for s in series)
+    padded = [np.pad(s, (0, length - s.size)) for s in series]
+    return [[n] + [float(s[n]) for s in padded] for n in range(length)]
 
 
 def _config_meta(cfg: MazerConfig) -> dict:
-    return {
-        "r_over_c": cfg.r_over_c,
-        "nb1": cfg.nb1,
-        "nb2": cfg.nb2,
-        "c1_over_c": cfg.c1_over_c,
-        "c2_over_c": cfg.c2_over_c,
-        "k_ratio": cfg.beam.k_ratio,
-        "kappa_l": cfg.beam.kappa_l,
-        "gamma": cfg.beam.gamma,
-        "n1_max": cfg.n1_max,
-        "n2_max": cfg.n2_max,
-    }
+    """The fields of cfg, with those of its beam in place of the beam."""
+    meta = asdict(cfg)
+    meta.update(meta.pop("beam"))
+    return meta
 
 
 def steady_sweep(
@@ -200,21 +189,14 @@ def steady_sweep(
     summary = moments(result.dist)
 
     columns = ["n", "p1", "p2"]
-    length = max(p1.size, p2.size)
-    series = [np.pad(p1, (0, length - p1.size)), np.pad(p2, (0, length - p2.size))]
+    series = [p1, p2]
     if twolevel_column:
         oracle_cfg = replace(cfg, beam=replace(cfg.beam, gamma=0.0))
         oracle_p1, _ = twolevel_detailed_balance(oracle_cfg)
         columns.append("p1_twolevel")
-        series.append(np.pad(oracle_p1, (0, length - oracle_p1.size)))
-    rows = [[n] + [float(s[n]) for s in series] for n in range(length)]
+        series.append(oracle_p1)
 
     meta = {
-        "command": "steady",
-        "version": __version__,
-        "config": dict(
-            _config_meta(cfg), method=method, dt=dt, tol=tol, t_max=t_max
-        ),
         "moments": {
             "mean1": summary.mean1,
             "mean2": summary.mean2,
@@ -232,41 +214,21 @@ def steady_sweep(
     }
     if note:
         meta["note"] = note
-    return Table(columns=columns, rows=rows, meta=meta)
+    config = dict(_config_meta(cfg), method=method, dt=dt, tol=tol, t_max=t_max)
+    return _table("steady", config, columns, _marginal_rows(*series), **meta)
 
 
 def oracle_table(cfg: MazerConfig) -> Table:
     """Detailed-balance marginals for a gamma = 0 config."""
-    p1, p2 = twolevel_detailed_balance(cfg)
-    length = max(p1.size, p2.size)
-    p1 = np.pad(p1, (0, length - p1.size))
-    p2 = np.pad(p2, (0, length - p2.size))
-    rows = [[n, float(p1[n]), float(p2[n])] for n in range(length)]
-    meta = {
-        "command": "oracle-twolevel",
-        "version": __version__,
-        "config": _config_meta(cfg),
-    }
-    return Table(columns=["n", "p1_balance", "p2_thermal"], rows=rows, meta=meta)
+    rows = _marginal_rows(*twolevel_detailed_balance(cfg))
+    return _table("oracle-twolevel", _config_meta(cfg), ["n", "p1_balance", "p2_thermal"], rows)
 
 
 def units_table(ps: PhysicalScale, kappa_l: float, k_ratio: float) -> Table:
     length, temperature, kappa = physical_scale(ps, kappa_l, k_ratio)
-    meta = {
-        "command": "units",
-        "version": __version__,
-        "config": {
-            "g1_rad_per_s": ps.g1_rad_per_s,
-            "atom_mass_kg": ps.atom_mass_kg,
-            "kappa_l": kappa_l,
-            "k_ratio": k_ratio,
-        },
-    }
-    return Table(
-        columns=["cavity_length_m", "temperature_K", "kappa_per_m"],
-        rows=[[length, temperature, kappa]],
-        meta=meta,
-    )
+    config = dict(asdict(ps), kappa_l=kappa_l, k_ratio=k_ratio)
+    columns = ["cavity_length_m", "temperature_K", "kappa_per_m"]
+    return _table("units", config, columns, [[length, temperature, kappa]])
 
 
 def serialize(table: Table, fmt: str = "csv") -> str:

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scattering import GainProbabilities, _require_count, _require_nonnegative
+from .scattering import (
+    GainProbabilities, _dressed, _require_count, _require_nonnegative, _require_positive
+)
 
 __all__ = ["JcInput", "jc_gain", "g1_tau_from_beam"]
 
@@ -45,8 +47,7 @@ def g1_tau_from_beam(kappa_l: float, k_ratio: float) -> float:
     See the module docstring for the derivation; valid when the kinetic
     energy is far above the coupling, i.e. (k/kappa)^2 >> Omega/g1.
     """
-    if k_ratio <= 0:
-        raise ValueError(f"k_ratio must be > 0, got {k_ratio!r}")
+    _require_positive("k_ratio", k_ratio)
     return kappa_l / (2.0 * k_ratio)
 
 
@@ -58,12 +59,12 @@ def jc_gain(inp: JcInput) -> GainProbabilities:
     state.  At Omega tau = pi the one-photon channel closes while the pair
     channel peaks at 4 u^2 v^2.
     """
-    a = inp.n1 + 1.0
-    b = inp.gamma * inp.gamma * (inp.n2 + 1.0)
+    a, b, omega, _, _ = _dressed(inp.gamma, inp.n1, inp.n2)
+    # u^2 = a / Omega^2 and v^2 = b / Omega^2, each rounded once
     omega_sq = a + b
     u_sq = a / omega_sq
     v_sq = b / omega_sq
-    phase = inp.g1_tau * math.sqrt(omega_sq)
+    phase = inp.g1_tau * omega
     p_one = u_sq * math.sin(phase) ** 2
     p_two = 4.0 * u_sq * v_sq * math.sin(0.5 * phase) ** 4
     return GainProbabilities(p_one=p_one, p_two=p_two)

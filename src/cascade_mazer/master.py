@@ -30,7 +30,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .scattering import (
-    CavityBeam, _gain_arrays, _require_finite, _require_nonnegative, _require_positive
+    CavityBeam, _OVERFLOW_HINT, _gain_arrays, _require_count, _require_nonnegative,
+    _require_positive,
 )
 
 __all__ = [
@@ -55,6 +56,12 @@ TAIL_TOLERANCE = 1e-6
 
 # Largest grid the sparse direct solver accepts.
 MAX_DIRECT_STATES = 2**16
+
+# Photon grid and RK4 settings for callers that give none.
+_GRID = (128, 128)
+_DT = 2e-3
+_TOL = 1e-12
+_T_MAX = 500.0
 
 # The detailed-balance recursion rescales its running product above this, so
 # a step whose up rate and up/down ratio stay below 2**523 cannot overflow.
@@ -90,8 +97,8 @@ class MazerConfig:
     nb1: float
     nb2: float
     beam: CavityBeam
-    n1_max: int = 128
-    n2_max: int = 128
+    n1_max: int = _GRID[0]
+    n2_max: int = _GRID[1]
     c1_over_c: float = 1.0
     c2_over_c: float = 1.0
 
@@ -101,11 +108,7 @@ class MazerConfig:
         for name in ("r_over_c", "c1_over_c", "c2_over_c"):
             _require_positive(name, getattr(self, name))
         for name in ("n1_max", "n2_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 2:
-                raise ValueError(f"{name} must be >= 2, got {value!r}")
+            _require_count(name, getattr(self, name), minimum=2)
 
 
 @dataclass
@@ -123,8 +126,7 @@ class GainTable:
             if not np.all(np.isfinite(gain)):
                 n1, n2 = np.argwhere(~np.isfinite(gain))[0]
                 raise ValueError(
-                    f"{name} is not finite at (n1, n2) = ({n1}, {n2}): the "
-                    "beam overflows double precision; lower k_ratio or kappa_l"
+                    f"{name} is not finite at (n1, n2) = ({n1}, {n2}): {_OVERFLOW_HINT}"
                 )
         if np.any(self.g_b1 < 0) or np.any(self.g_b2 < 0):
             raise ValueError("gain rates must be nonnegative")
@@ -182,12 +184,14 @@ def build_gain_table(cfg: MazerConfig) -> GainTable:
 
     Rates already include the pump: g_b1 = (r/C) P(a -> b1) etc.  Entries in
     the last row/column only ever flow out of the grid and feed tail_leak.
+    An overflowing beam raises ValueError, without numpy warnings.
     """
     n1 = np.arange(cfg.n1_max)[:, None]
     n2 = np.arange(cfg.n2_max)[None, :]
-    p_one, p_two = _gain_arrays(
-        cfg.beam.k_ratio, cfg.beam.kappa_l, cfg.beam.gamma, n1, n2
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        p_one, p_two = _gain_arrays(
+            cfg.beam.k_ratio, cfg.beam.kappa_l, cfg.beam.gamma, n1, n2
+        )
     try:
         return GainTable(g_b1=cfg.r_over_c * p_one, g_b2=cfg.r_over_c * p_two)
     except ValueError as err:
@@ -298,9 +302,8 @@ def _clamp_roundoff(p: np.ndarray) -> np.ndarray:
 
 
 def _finalize(p: np.ndarray, tail_leak: float) -> JointDistribution:
-    """Clamp roundoff negatives and enforce the truncation diagnostics."""
-    dist = JointDistribution(p=_clamp_roundoff(p), tail_leak=tail_leak)
-    _require_small_leak(tail_leak)
+    """The clamped p as a distribution, once its outermost shells are empty enough."""
+    dist = JointDistribution(p=p, tail_leak=tail_leak)
     tail = dist.tail_mass()
     if tail > TAIL_TOLERANCE:
         raise TruncationError(
@@ -314,9 +317,9 @@ def rk4_steady_state(
     cfg: MazerConfig,
     p0: JointDistribution | None = None,
     *,
-    dt: float = 2e-3,
-    t_max: float = 500.0,
-    tol: float = 1e-12,
+    dt: float = _DT,
+    t_max: float = _T_MAX,
+    tol: float = _TOL,
     gains: GainTable | None = None,
 ) -> SteadyStateResult:
     """Integrate the rate equation to its steady state with fixed-step RK4.
@@ -329,9 +332,7 @@ def rk4_steady_state(
     and its 1-2-2-1 leak quadrature is h times the leak of the last stage.
     """
     for name, value in (("dt", dt), ("t_max", t_max), ("tol", tol)):
-        _require_finite(name, value)
-    if dt <= 0 or t_max <= 0 or tol <= 0:
-        raise ValueError("dt, t_max and tol must all be > 0")
+        _require_positive(name, value)
     if gains is None:
         gains = build_gain_table(cfg)
     gen = _RateGenerator(cfg, gains)
@@ -358,8 +359,10 @@ def rk4_steady_state(
         k = mat @ p
         residual = float(np.abs(k, out=stage).sum())
         if residual < tol:
+            p = _clamp_roundoff(p.reshape(gen.shape))
+            _require_small_leak(leak)
             return SteadyStateResult(
-                dist=_finalize(p.reshape(gen.shape), leak),
+                dist=_finalize(p, leak),
                 method="rk4",
                 iterations=step,
                 model_time=step * dt,
@@ -499,8 +502,6 @@ def twolevel_detailed_balance(cfg: MazerConfig) -> tuple[np.ndarray, np.ndarray]
     """
     if cfg.beam.gamma != 0:
         raise ValueError("detailed-balance oracle requires gamma = 0")
-    if cfg.c1_over_c <= 0 or cfg.c2_over_c <= 0:
-        raise ValueError("detailed balance needs strictly positive damping")
     # Mode 1 moves alone at gamma = 0: its gain on the n1 axis suffices.
     p_one, _ = _gain_arrays(
         cfg.beam.k_ratio, cfg.beam.kappa_l, 0.0, np.arange(cfg.n1_max), 0

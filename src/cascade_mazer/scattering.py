@@ -12,6 +12,7 @@ and g1 = 1 fixes the energy unit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,10 @@ __all__ = [
     "ultracold_approx",
 ]
 
+# Why an amplitude or gain came out non-finite, and what to change.
+_OVERFLOW_HINT = "the beam overflows double precision; lower k_ratio or kappa_l"
+
+
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -50,11 +55,11 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
-def _require_count(name: str, value) -> None:
+def _require_count(name: str, value, minimum: int = 0) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -132,9 +137,25 @@ class GainProbabilities:
     p_two: float
 
 
-def _omega_scaled(gamma, n1, n2):
-    """Dressed splitting Omega/g1 = sqrt((n1+1) + gamma^2 (n2+1)); array-safe."""
-    return np.sqrt((np.asarray(n1) + 1.0) + gamma * gamma * (np.asarray(n2) + 1.0))
+def _dressed(gamma, n1, n2):
+    """(a, b, Omega/g1, u, v) of the bare state |a, n1, n2>, array-safe.
+
+    a = n1+1 and b = gamma^2 (n2+1); the dressed splitting is sqrt(a + b),
+    and u = sqrt(a)/Omega, v = gamma sqrt(n2+1)/Omega weigh the scattered
+    doublet and the dark state.
+    """
+    a = n1 + 1.0
+    b = gamma * gamma * (n2 + 1.0)
+    omega = np.sqrt(a + b)
+    return a, b, omega, np.sqrt(a) / omega, gamma * np.sqrt(n2 + 1.0) / omega
+
+
+def _finite_amplitudes(inp: ScatterInput, amplitudes) -> list[complex]:
+    """The kernel's amplitudes as complex numbers; refuses an overflowed beam."""
+    values = [complex(a) for a in amplitudes]
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"amplitudes of {inp} are not finite: {_OVERFLOW_HINT}")
+    return values
 
 
 def dressed_coefficients(inp: ScatterInput) -> DressedCoefficients:
@@ -142,10 +163,14 @@ def dressed_coefficients(inp: ScatterInput) -> DressedCoefficients:
 
     u weights the scattered doublet, v the dark state; u^2 + v^2 = 1.
     """
-    omega = float(_omega_scaled(inp.gamma, inp.n1, inp.n2))
-    u = math.sqrt(inp.n1 + 1.0) / omega
-    v = inp.gamma * math.sqrt(inp.n2 + 1.0) / omega
-    return DressedCoefficients(u=u, v=v, omega_scaled=omega)
+    _, _, omega, u, v = _dressed(inp.gamma, inp.n1, inp.n2)
+    return DressedCoefficients(u=float(u), v=float(v), omega_scaled=float(omega))
+
+
+def _wavenumber(w2):
+    """(w2 >= 0, kb, q) with kb + i q the principal sqrt(w2), array-safe."""
+    osc = w2 >= 0.0
+    return osc, np.sqrt(np.where(osc, w2, 0.0)), np.sqrt(np.where(osc, 0.0, -w2))
 
 
 def branch_wavenumbers(inp: ScatterInput) -> tuple[complex, complex]:
@@ -155,15 +180,11 @@ def branch_wavenumbers(inp: ScatterInput) -> tuple[complex, complex]:
     k+ turns purely imaginary below the barrier (principal square root,
     positive imaginary part).
     """
-    omega = float(_omega_scaled(inp.gamma, inp.n1, inp.n2))
+    _, _, omega, _, _ = _dressed(inp.gamma, inp.n1, inp.n2)
     k2 = inp.k_ratio * inp.k_ratio
-    w_plus = k2 - omega
-    w_minus = k2 + omega
-    if w_plus >= 0.0:
-        k_plus = complex(math.sqrt(w_plus), 0.0)
-    else:
-        k_plus = complex(0.0, math.sqrt(-w_plus))
-    return k_plus, complex(math.sqrt(w_minus), 0.0)
+    _, kb_plus, q_plus = _wavenumber(k2 - omega)
+    _, k_minus, _ = _wavenumber(k2 + omega)
+    return complex(kb_plus, q_plus), complex(k_minus)
 
 
 def _branch_ramp(w2, k: float, length: float):
@@ -175,10 +196,7 @@ def _branch_ramp(w2, k: float, length: float):
     opacities kappa*L never overflow; tau underflows smoothly to exact 0.
     """
     w2 = np.asarray(w2, dtype=float)
-    osc = w2 >= 0.0
-
-    kb = np.sqrt(np.where(osc, w2, 0.0))
-    q = np.sqrt(np.where(osc, 0.0, -w2))
+    osc, kb, q = _wavenumber(w2)
 
     cos_term = np.where(osc, np.cos(kb * length), 1.0)
     qlen = q * length
@@ -199,33 +217,29 @@ def _branch_ramp(w2, k: float, length: float):
     return rho, tau
 
 
+def _branch_pair(k, length, omega):
+    """(rho+, tau+, rho-, tau-): the ramps of (k/kappa)^2 -+ Omega/g1."""
+    k2 = k * k
+    return (*_branch_ramp(k2 - omega, k, length), *_branch_ramp(k2 + omega, k, length))
+
+
 def branch_amplitudes(inp: ScatterInput) -> BranchAmplitudes:
     """Scattering amplitudes of the two dressed branches.
 
     The barrier branch (+) sees a repulsive ramp, the well branch (-) an
-    attractive one of equal magnitude.
+    attractive one of equal magnitude.  Raises ValueError when the beam
+    overflows double precision.
     """
-    omega = float(_omega_scaled(inp.gamma, inp.n1, inp.n2))
-    k = inp.k_ratio
-    k2 = k * k
-    rho_p, tau_p = _branch_ramp(k2 - omega, k, inp.kappa_l)
-    rho_m, tau_m = _branch_ramp(k2 + omega, k, inp.kappa_l)
-    return BranchAmplitudes(
-        rho_plus=complex(rho_p),
-        tau_plus=complex(tau_p),
-        rho_minus=complex(rho_m),
-        tau_minus=complex(tau_m),
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, _, omega, _, _ = _dressed(inp.gamma, inp.n1, inp.n2)
+        amps = _branch_pair(inp.k_ratio, inp.kappa_l, omega)
+    return BranchAmplitudes(*_finite_amplitudes(inp, amps))
 
 
 def _channel_arrays(k: float, length: float, gamma: float, n1, n2):
-    """Six channel amplitudes, vectorized over photon numbers and length."""
-    omega = _omega_scaled(gamma, n1, n2)
-    u = np.sqrt(np.asarray(n1) + 1.0) / omega
-    v = gamma * np.sqrt(np.asarray(n2) + 1.0) / omega
-    k2 = k * k
-    rho_p, tau_p = _branch_ramp(k2 - omega, k, length)
-    rho_m, tau_m = _branch_ramp(k2 + omega, k, length)
+    """Six channel amplitudes, broadcast over all five inputs."""
+    _, _, omega, u, v = _dressed(gamma, n1, n2)
+    rho_p, tau_p, rho_m, tau_m = _branch_pair(k, length, omega)
 
     rho_sum = 0.5 * (rho_p + rho_m)
     tau_sum = 0.5 * (tau_p + tau_m)
@@ -249,9 +263,11 @@ def scatter_channels(inp: ScatterInput) -> ScatterChannels:
     The dark state crosses the cavity freely; its overlap v^2 feeds the
     transmitted |a> channel and -uv the transmitted |b2> channel, which is
     what makes the two-photon emission survive in the ultracold limit.
+    Raises ValueError when the beam overflows double precision.
     """
-    amps = _channel_arrays(inp.k_ratio, inp.kappa_l, inp.gamma, inp.n1, inp.n2)
-    return ScatterChannels(*(complex(a) for a in amps))
+    with np.errstate(invalid="ignore", over="ignore"):
+        amps = _channel_arrays(inp.k_ratio, inp.kappa_l, inp.gamma, inp.n1, inp.n2)
+    return ScatterChannels(*_finite_amplitudes(inp, amps))
 
 
 def _exit_probability(r, t):
@@ -287,6 +303,5 @@ def ultracold_approx(gamma: float, n1: int, n2: int) -> GainProbabilities:
     _require_nonnegative("gamma", gamma)
     _require_count("n1", n1)
     _require_count("n2", n2)
-    a = n1 + 1.0
-    b = gamma * gamma * (n2 + 1.0)
+    a, b, *_ = _dressed(gamma, n1, n2)
     return GainProbabilities(p_one=0.0, p_two=2.0 * a * b / (a + b) ** 2)

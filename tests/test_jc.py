@@ -24,6 +24,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             g1_tau_from_beam(10.0, 0.0)
 
+    @pytest.mark.parametrize("k_ratio", [-1.0, math.inf, math.nan])
+    def test_transit_mapping_needs_finite_momentum(self, k_ratio):
+        with pytest.raises(ValueError, match="k_ratio must be"):
+            g1_tau_from_beam(10.0, k_ratio)
+
 
 def test_transit_time_mapping():
     # tau = L m / (hbar k) and hbar g1 = (hbar kappa)^2 / 2m combine to

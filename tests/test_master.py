@@ -1,6 +1,7 @@
 """Pump-damping rate equation on the truncated photon grid."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -197,9 +198,11 @@ class TestValidation:
             GainTable(g_b1=np.zeros((3, 3)), g_b2=g_b2)
 
     def test_overflowing_beam_is_named(self):
-        # k^2 overflows: the scattering amplitudes come out nan
+        # k^2 overflows: the scattering amplitudes come out nan, and the
+        # error is all the caller sees, with no numpy warning before it
         beam = CavityBeam(k_ratio=1e200, kappa_l=20000.0 * math.pi, gamma=2.0)
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"CavityBeam\(k_ratio=1e\+200.*not finite"):
                 build_gain_table(config(beam=beam, n=4))
 
@@ -391,6 +394,12 @@ class TestRk4SteadyState:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_settings(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rk4_steady_state(config(n=8), **{name: value})
+
+    @pytest.mark.parametrize("name", ["dt", "t_max", "tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_rejects_nonpositive_settings(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
             rk4_steady_state(config(n=8), **{name: value})
 
     def test_matches_textbook_rk4_on_reference_flows(self):

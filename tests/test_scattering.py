@@ -7,6 +7,7 @@ expressions: it matches plane waves at the two cavity faces by solving the
 
 import cmath
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -127,6 +128,25 @@ class TestValidation:
             CavityBeam(k_ratio=math.nan, kappa_l=1.0, gamma=1.0)
         with pytest.raises(ValueError):
             CavityBeam(k_ratio=1.0, kappa_l=math.inf, gamma=1.0)
+
+    @pytest.mark.parametrize(
+        "api, inp",
+        [
+            (scatter_channels, ScatterInput(1e308, 1.0, 2.0, 0, 0)),
+            (branch_amplitudes, ScatterInput(1e200, 10.0, 2.0, 0, 0)),
+        ],
+    )
+    def test_overflowing_beam_fails_loudly_and_quietly(self, api, inp):
+        # the kernel's amplitudes come out nan: the scalar API names the input
+        # and says what to lower, with no numpy warning before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                api(inp)
+        assert str(err.value).startswith(f"amplitudes of {inp} are not finite")
+        assert str(err.value).endswith(
+            "the beam overflows double precision; lower k_ratio or kappa_l"
+        )
 
     def test_with_photons_builds_scatter_input(self):
         beam = CavityBeam(k_ratio=0.5, kappa_l=3.0, gamma=2.0)
@@ -282,6 +302,23 @@ class TestScatterChannels:
                 continue
             want = astuple(scatter_channels(ScatterInput(k, float(length), gamma, n1, n2)))
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+        # one kernel call along each of the other inputs, the rest held fixed
+        base = dict(k_ratio=k, kappa_l=20000.0 * math.pi, gamma=gamma, n1=n1, n2=n2)
+        sweeps = {
+            "k_ratio": k * np.array([0.25, 1.0, 4.0, 90.0]),
+            "gamma": np.array([0.0, 0.3, gamma, 40.0]),
+            "n1": np.array([0, 1, 7, 120]),
+            "n2": np.array([0, 2, 9, 250]),
+        }
+        for name, values in sweeps.items():
+            args = dict(base, **{name: values})
+            amps = _channel_arrays(
+                args["k_ratio"], args["kappa_l"], args["gamma"], args["n1"], args["n2"]
+            )
+            for i, value in enumerate(values):
+                got = [a[i] for a in amps]
+                want = astuple(scatter_channels(ScatterInput(**dict(base, **{name: value.item()}))))
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15, (name, value)
 
     def test_decoupled_lower_mode_emits_nothing(self):
         ch = scatter_channels(
