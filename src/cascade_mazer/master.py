@@ -18,21 +18,27 @@ stepper applies it as built.  The direct solve pins the vacuum instead of
 adding a dense normalization row, orders the grid by nested dissection and
 factorizes without row swaps, which the M-matrix structure of the pinned
 generator makes stable.
+
+scipy.sparse is imported by the solvers on first use, not with the module:
+it is most of the package's import time, and only the steady-state solves
+need it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .scattering import (
     CavityBeam, _OVERFLOW_HINT, _gain_arrays, _require_count, _require_nonnegative,
     _require_positive,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "MazerConfig",
@@ -66,6 +72,18 @@ _T_MAX = 500.0
 # The detailed-balance recursion rescales its running product above this, so
 # a step whose up rate and up/down ratio stay below 2**523 cannot overflow.
 _RESCALE_ABOVE = 2.0**500
+
+
+def __getattr__(name: str):
+    """master.spla, the module _pinned_solve takes spsolve from, imported on access.
+
+    perfbench's layer tracer wraps master.spla.spsolve.
+    """
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(RuntimeError):
@@ -208,6 +226,8 @@ class _RateGenerator:
     """
 
     def __init__(self, cfg: MazerConfig, gains: GainTable):
+        import scipy.sparse as sp
+
         n1_max, n2_max = cfg.n1_max, cfg.n2_max
         if gains.g_b1.shape != (n1_max, n2_max):
             raise ValueError(
@@ -433,6 +453,9 @@ def _pinned_solve(mat: sp.csr_matrix, shape: tuple[int, int]) -> np.ndarray:
     no subtraction cancels (W. J. Stewart, Introduction to the Numerical
     Solution of Markov Chains, 1994, ch. 2).
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla  # spla.spsolve is looked up per call
+
     n_states = mat.shape[0]
     scale = -mat[0, 0] or 1.0
     pin = sp.csr_matrix(([scale], ([0], [0])), shape=(1, n_states))
@@ -499,14 +522,22 @@ def twolevel_detailed_balance(cfg: MazerConfig) -> tuple[np.ndarray, np.ndarray]
     Mode 1 follows the one-step detailed-balance recursion
     P(n)/P(n-1) = [C1 nb1 n + g_b1(n-1)] / [C1 (nb1+1) n], mode 2 is exactly
     thermal.  Serves as an independent oracle for the numerical solvers.
+    An overflowing beam raises ValueError, without numpy warnings.
     """
     if cfg.beam.gamma != 0:
         raise ValueError("detailed-balance oracle requires gamma = 0")
     # Mode 1 moves alone at gamma = 0: its gain on the n1 axis suffices.
-    p_one, _ = _gain_arrays(
-        cfg.beam.k_ratio, cfg.beam.kappa_l, 0.0, np.arange(cfg.n1_max), 0
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        p_one, _ = _gain_arrays(
+            cfg.beam.k_ratio, cfg.beam.kappa_l, 0.0, np.arange(cfg.n1_max), 0
+        )
     g_b1 = cfg.r_over_c * p_one
+    if not np.all(np.isfinite(g_b1)):
+        n1 = int(np.argmin(np.isfinite(g_b1)))
+        raise ValueError(
+            f"detailed-balance gains of {cfg.beam}: g_b1 is not finite at "
+            f"n1 = {n1}: {_OVERFLOW_HINT}"
+        )
 
     p1 = np.empty(cfg.n1_max)
     p1[0] = 1.0

@@ -10,13 +10,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants
-
 from .scattering import _require_nonnegative, _require_positive
 
 __all__ = ["PhysicalScale", "physical_scale", "RB85_MASS_KG", "DEFAULT_G1_RAD_PER_S"]
 
-RB85_MASS_KG = 84.911789738 * constants.atomic_mass
+# CODATA 2022, as scipy.constants gives them: the atomic mass constant in kg,
+# hbar in J s and Boltzmann's constant in J/K.  Written out so that this
+# module does not import scipy.
+ATOMIC_MASS_KG = 1.66053906892e-27
+HBAR = 1.0545718176461565e-34
+K_B = 1.380649e-23
+
+RB85_MASS_KG = 84.911789738 * ATOMIC_MASS_KG
 DEFAULT_G1_RAD_PER_S = 2.0 * math.pi * 1.0e7
 
 
@@ -43,9 +48,9 @@ def physical_scale(
     """
     _require_nonnegative("kappa_l", kappa_l)
     _require_nonnegative("k_ratio", k_ratio)
-    kappa = math.sqrt(2.0 * ps.atom_mass_kg * ps.g1_rad_per_s / constants.hbar)
+    kappa = math.sqrt(2.0 * ps.atom_mass_kg * ps.g1_rad_per_s / HBAR)
     if kappa == 0.0:
         raise ValueError("kappa underflows to 0; bring g1 and the mass to a physical scale")
     length = kappa_l / kappa
-    temperature = k_ratio * k_ratio * constants.hbar * ps.g1_rad_per_s / constants.k
+    temperature = k_ratio * k_ratio * HBAR * ps.g1_rad_per_s / K_B
     return length, temperature, kappa
