@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -217,6 +218,15 @@ class TestPhysicalScale:
         assert t.columns == ["cavity_length_m", "temperature_K", "kappa_per_m"]
         assert len(t.rows) == 1
 
+    def test_constants_are_scipys_codata_values(self):
+        from scipy import constants
+
+        from cascade_mazer import units
+
+        assert units.ATOMIC_MASS_KG == constants.atomic_mass
+        assert units.HBAR == constants.hbar
+        assert units.K_B == constants.k
+
 
 class TestPresets:
     def test_unknown_preset_rejected(self):
@@ -377,6 +387,15 @@ class TestCommandLine:
         t = parse_table(capsys.readouterr().out)
         assert t.columns == ["n", "p1_balance", "p2_thermal"]
         assert t.meta["config"]["gamma"] == 0.0
+
+    def test_oracle_names_an_overflowing_beam(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["oracle-twolevel", "--k-ratio", "1e200", "--grid", "4x4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "k_ratio=1e+200" in err and "lower k_ratio or kappa_l" in err
+        assert "r_over_c" not in err
 
     def test_oracle_takes_no_solver_flags(self):
         with pytest.raises(SystemExit) as exc:

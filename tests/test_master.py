@@ -416,6 +416,22 @@ class TestRk4SteadyState:
 
 
 class TestDirectSteadyState:
+    def test_solves_through_master_spla(self, monkeypatch):
+        # the solver is looked up on master.spla at each call, so a wrapper
+        # set there (as perfbench's tracer does) sees every solve
+        import cascade_mazer.master as master
+
+        calls = []
+        solve = master.spla.spsolve
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(master.spla, "spsolve", counted)
+        direct_steady_state(config(beam=SILENT_BEAM, n=10))
+        assert calls == [(100, 100)]
+
     def test_damped_empty_cavity(self):
         res = direct_steady_state(config(beam=SILENT_BEAM, n=10))
         want = np.zeros((10, 10))
@@ -531,6 +547,15 @@ class TestDetailedBalanceOracle:
                           n1_max=8, n2_max=2, c1_over_c=1e-310)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows double"):
             twolevel_detailed_balance(cfg)
+
+    def test_overflowing_beam_is_named(self):
+        # the gains come out nan; the error names the beam, with no numpy
+        # warning before it
+        beam = CavityBeam(k_ratio=1e200, kappa_l=20000.0 * math.pi, gamma=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"CavityBeam\(k_ratio=1e\+200.*lower k_ratio"):
+                twolevel_detailed_balance(config(beam=beam, n=4))
 
     def test_matches_integrated_steady_state(self):
         beam = CavityBeam(k_ratio=0.01, kappa_l=40000.0 * math.pi / math.sqrt(2.0),
