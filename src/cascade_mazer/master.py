@@ -15,9 +15,10 @@ thermal cavity keeps its exact truncated geometric steady state.
 Each flow moves probability by a fixed offset in the flattened grid, so the
 generator is one DIA matrix built from the per-flow rate arrays; the time
 stepper applies it as built.  The direct solve pins the vacuum instead of
-adding a dense normalization row, orders the grid by nested dissection and
-factorizes without row swaps, which the M-matrix structure of the pinned
-generator makes stable.
+adding a dense normalization row, orders the grid by nested dissection
+(built once per grid shape), assembles the pinned system in that order
+straight from the DIA diagonals and factorizes without row swaps, which the
+M-matrix structure of the pinned generator makes stable.
 
 scipy.sparse is imported by the solvers on first use, not with the module:
 it is most of the package's import time, and only the steady-state solves
@@ -26,6 +27,7 @@ need it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -62,6 +64,9 @@ TAIL_TOLERANCE = 1e-6
 
 # Largest grid the sparse direct solver accepts.
 MAX_DIRECT_STATES = 2**16
+
+# States in one leaf block of the direct solve's nested-dissection order.
+_DISSECTION_LEAF = 16
 
 # Photon grid and RK4 settings for callers that give none.
 _GRID = (128, 128)
@@ -412,20 +417,22 @@ def rk4_steady_state(
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _dissection_order(n1_max: int, n2_max: int) -> np.ndarray:
     """Nested-dissection order of the flattened n1_max x n2_max grid.
 
     Every flow moves at most one step along each axis, so one grid line
     splits a block into two halves with no flow between them.  Each block is
     cut across its longer side; both halves come first, the separating line
-    last, and a block of at most 64 states is one leaf.  Fill-in from
-    eliminating a half then stays inside that half and its separator
-    (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).
+    last, and a block of at most _DISSECTION_LEAF states is one leaf.
+    Fill-in from eliminating a half then stays inside that half and its
+    separator (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).  Built once
+    per grid shape; the cached array is read-only.
     """
     parts = []
 
     def dissect(block: np.ndarray) -> None:
-        if block.size <= 64:
+        if block.size <= _DISSECTION_LEAF:
             parts.append(block.ravel())
             return
         if block.shape[0] < block.shape[1]:
@@ -436,10 +443,22 @@ def _dissection_order(n1_max: int, n2_max: int) -> np.ndarray:
         parts.append(block[mid])
 
     dissect(np.arange(n1_max * n2_max).reshape(n1_max, n2_max))
-    return np.concatenate(parts)
+    order = np.concatenate(parts)
+    order.flags.writeable = False
+    return order
 
 
-def _pinned_solve(mat: sp.csr_matrix, shape: tuple[int, int]) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _dissection_position(n1_max: int, n2_max: int) -> np.ndarray:
+    """Inverse of _dissection_order: the position of each state in it; read-only."""
+    order = _dissection_order(n1_max, n2_max)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    position.flags.writeable = False
+    return position
+
+
+def _pinned_solve(mat: sp.spmatrix, shape: tuple[int, int]) -> np.ndarray:
     """Normalized solution of mat p = 0 with the vacuum pinned, on the grid.
 
     Column j of mat holds the flows out of state j: -outflow on the diagonal
@@ -452,21 +471,40 @@ def _pinned_solve(mat: sp.csr_matrix, shape: tuple[int, int]) -> np.ndarray:
     pivoting keeps every diagonal pivot in the nested-dissection order, and
     no subtraction cancels (W. J. Stewart, Introduction to the Numerical
     Solution of Markov Chains, 1994, ch. 2).
+
+    The pinned system is built in that order straight from the non-zero
+    entries of mat's diagonals (mat may be in any sparse format): row r
+    holds the flows into state order[r], each entry's column mapped to the
+    position of its source state.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla  # spla.spsolve is looked up per call
 
-    n_states = mat.shape[0]
-    scale = -mat[0, 0] or 1.0
-    pin = sp.csr_matrix(([scale], ([0], [0])), shape=(1, n_states))
-    pinned = sp.vstack([pin, mat[1:]], format="csr")
-    rhs = np.zeros(n_states)
-    rhs[0] = scale
+    dia = mat.todia()
+    n_states = dia.shape[0]
     order = _dissection_order(*shape)
-    solution = np.empty(n_states)
-    solution[order] = spla.spsolve(
-        pinned[order][:, order].tocsc(), rhs[order], permc_spec="NATURAL"
-    )
+    position = _dissection_position(*shape)
+    # Entry k of row r is the flow from state order[r] + offsets[k]; dia.data
+    # may stop short of the last columns.
+    source = order[:, None] + dia.offsets
+    inside = (source >= 0) & (source < min(n_states, dia.data.shape[1]))
+    source[~inside] = 0
+    rates = dia.data[np.arange(dia.offsets.size), source]
+    kept = inside & (rates != 0)
+    # The vacuum's row becomes the pin alone.
+    scale = -dia.diagonal()[0] or 1.0
+    pin = position[0]
+    kept[pin] = dia.offsets == 0
+    rates[pin, dia.offsets == 0] = scale
+    # The rows come in order, so tocsc leaves each column's rows sorted.
+    indptr = np.zeros(n_states + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+    pinned = sp.csr_matrix(
+        (rates[kept], position[source[kept]], indptr), shape=dia.shape
+    ).tocsc()
+    rhs = np.zeros(n_states)
+    rhs[pin] = scale
+    solution = spla.spsolve(pinned, rhs, permc_spec="NATURAL")[position]
     if not np.all(np.isfinite(solution)):
         raise SolverError(
             "direct solve produced non-finite entries: the generator looks "
@@ -495,7 +533,7 @@ def direct_steady_state(
     if gains is None:
         gains = build_gain_table(cfg)
     gen = _RateGenerator(cfg, gains)
-    mat = gen.matrix().tocsr()
+    mat = gen.matrix()
     p = _clamp_roundoff(_pinned_solve(mat, gen.shape))
     # Rows 1.. of A p vanish and A p sums to -leak(p): the residual is the
     # leak, so only a residual above a small leak means ill-conditioning.

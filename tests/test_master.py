@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cascade_mazer.master as master
 from cascade_mazer.master import (
     ConvergenceError,
     GainTable,
@@ -137,6 +142,44 @@ def exact_pinned_solve(cfg: MazerConfig, gains: GainTable) -> np.ndarray:
         x[k] = (rhs[k] - known) / rows[k][k]
     total = sum(x)
     return np.array([float(v / total) for v in x]).reshape(cfg.n1_max, cfg.n2_max)
+
+
+def parent_pinned_system(mat, shape: tuple[int, int]) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The pinned system built the earlier way, as the reference for the new one.
+
+    Row 0 of the CSR form is replaced by the pin through vstack, then rows and
+    columns are permuted by fancy indexing and the result converted to CSC.
+    """
+    mat = mat.tocsr()
+    n_states = mat.shape[0]
+    scale = -mat[0, 0] or 1.0
+    pin = sp.csr_matrix(([scale], ([0], [0])), shape=(1, n_states))
+    pinned = sp.vstack([pin, mat[1:]], format="csr")
+    rhs = np.zeros(n_states)
+    rhs[0] = scale
+    order = _dissection_order(*shape)
+    return pinned[order][:, order].tocsc(), rhs[order]
+
+
+def pinned_system(monkeypatch, mat, shape: tuple[int, int]) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The matrix and right-hand side that _pinned_solve hands to spsolve."""
+    seen = []
+    solve = master.spla.spsolve
+
+    def capture(a, b, **kwargs):
+        seen.append((a, b))
+        return solve(a, b, **kwargs)
+
+    monkeypatch.setattr(master.spla, "spsolve", capture)
+    _pinned_solve(mat, shape)
+    monkeypatch.undo()
+    (system,) = seen
+    return system
+
+
+def decades(lo: float, hi: float):
+    """Floats spread evenly over the decades from 10**lo to 10**hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
 def flux_balance(cfg: MazerConfig, gains: GainTable, p: np.ndarray) -> tuple[float, float]:
@@ -482,6 +525,73 @@ class TestDirectSteadyState:
         assert np.max(np.abs(got - want) / want) < 1e-12
         if nb == 0.0:  # nb = 0.3 does not fit a 9x8 grid's truncation gate
             assert np.array_equal(direct_steady_state(cfg, gains=gains).dist.p, got)
+
+    # the pinned solve checked against exact arithmetic on random small grids,
+    # which the leaf size cuts at several dissection levels
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n1=st.integers(2, 9), n2=st.integers(2, 9),
+        r=decades(-3, 1.5), nb=st.just(0.0) | decades(-2, 0.5),
+        c1=decades(-0.7, 0.7), c2=decades(-0.7, 0.7),
+        gamma=st.just(0.0) | decades(-1, 1), k_ratio=decades(-2, 2),
+    )
+    def test_pinned_solve_matches_exact_arithmetic_at_random(
+        self, n1, n2, r, nb, c1, c2, gamma, k_ratio
+    ):
+        beam = CavityBeam(k_ratio=k_ratio, kappa_l=20000.0 * math.pi, gamma=gamma)
+        cfg = MazerConfig(r_over_c=r, nb1=nb, nb2=nb, beam=beam, n1_max=n1, n2_max=n2,
+                          c1_over_c=c1, c2_over_c=c2)
+        gains = build_gain_table(cfg)
+        want = exact_pinned_solve(cfg, gains)
+        gen = _RateGenerator(cfg, gains)
+        got = _pinned_solve(gen.matrix(), gen.shape)
+        # entry by entry; states the pump and baths never reach are exactly zero
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    # (nb, gamma, c2/C): six diagonals, five without the up-flows, five
+    # without the pair gain, and unequal damping
+    @pytest.mark.parametrize("nb, gamma, c2", [
+        (0.3, 2.0, 1.0), (0.0, 2.0, 1.0), (0.3, 0.0, 1.0), (0.2, 1.0, 0.6),
+    ])
+    @pytest.mark.parametrize("shape", [(9, 14), (2, 300), (16, 16)])
+    def test_pinned_system_matches_parent_construction(self, monkeypatch, shape, nb, gamma, c2):
+        beam = CavityBeam(k_ratio=0.5, kappa_l=20000.0 * math.pi, gamma=gamma)
+        cfg = MazerConfig(r_over_c=0.3, nb1=nb, nb2=nb, beam=beam, n1_max=shape[0],
+                          n2_max=shape[1], c2_over_c=c2)
+        gen = _RateGenerator(cfg, build_gain_table(cfg))
+        assert len(gen.matrix().offsets) == 6 - (nb == 0.0) - (gamma == 0.0)
+        want, want_rhs = parent_pinned_system(gen.matrix(), shape)
+        for mat in (gen.matrix(), gen.matrix().tocsr()):
+            got, rhs = pinned_system(monkeypatch, mat, shape)
+            assert got.format == "csc"
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(rhs, want_rhs)
+
+    def test_dissection_order_is_cached_read_only(self):
+        order = _dissection_order(7, 5)
+        assert _dissection_order(7, 5) is order
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 1
+
+    def test_solves_after_another_shape_repeat_bit_for_bit(self):
+        def solve(n1, n2):
+            cfg = MazerConfig(r_over_c=2.0, nb1=0.1, nb2=0.1, beam=PLATEAU_BEAM,
+                              n1_max=n1, n2_max=n2, c1_over_c=0.8)
+            return direct_steady_state(cfg).dist.p
+
+        first = solve(24, 24)
+        solve(20, 28)
+        assert np.array_equal(solve(24, 24), first)
+
+    def test_dissection_fill_at_fig4a_128(self, monkeypatch):
+        # L+U fill of the pinned fig4a system in the dissection order: 0.93 M
+        # with leaves of 16 states, 1.11 M with leaves of 64
+        cfg = config(n=128)
+        gen = _RateGenerator(cfg, build_gain_table(cfg))
+        pinned, _ = pinned_system(monkeypatch, gen.matrix(), gen.shape)
+        lu = spla.splu(pinned, permc_spec="NATURAL")
+        assert lu.L.nnz + lu.U.nnz <= 950_000
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 300), (3, 7), (9, 14), (256, 256)])
     def test_dissection_order_is_a_permutation(self, shape):
