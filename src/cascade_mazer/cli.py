@@ -32,6 +32,7 @@ from .master import (
 from .scattering import (
     CavityBeam,
     ScatterInput,
+    _require_positive,
     channel_gains,
     gain_probabilities,  # not called here; the benchmark tracer resolves it
     scatter_channels,
@@ -175,10 +176,13 @@ def steady_sweep(
     """Steady-state marginals P1(n), P2(n) with moment and solver metadata.
 
     Solved directly unless method="rk4", the check that also takes grids
-    above MAX_DIRECT_STATES; dt, tol and t_max steer only RK4.
+    above MAX_DIRECT_STATES; dt, tol and t_max steer only RK4, but the
+    table's config echoes them, so they must be finite and positive for both.
     With twolevel_column=True an extra column holds the detailed-balance
     mode-1 distribution of the same config at gamma = 0.
     """
+    for name, value in (("dt", dt), ("t_max", t_max), ("tol", tol)):
+        _require_positive(name, value)
     if method == "rk4":
         result = rk4_steady_state(cfg, dt=dt, t_max=t_max, tol=tol)
     elif method == "direct":

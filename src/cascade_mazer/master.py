@@ -224,10 +224,10 @@ def build_gain_table(cfg: MazerConfig) -> GainTable:
 class _RateGenerator:
     """The rate equation as one DIA matrix acting on p.ravel().
 
-    matrix() holds every in-grid flow, one diagonal per flow that is on; the
-    gain flows that leave the top of the grid have no row to land in and are
-    returned as the leak rate, a dot product of their rates with the edge
-    entries of p.
+    matrix holds every in-grid flow, one diagonal per flow that is on, and is
+    shared: do not modify it.  The gain flows that leave the top of the grid
+    have no row to land in and are returned as the leak rate, a dot product
+    of their rates with the edge entries of p.
     """
 
     def __init__(self, cfg: MazerConfig, gains: GainTable):
@@ -270,7 +270,7 @@ class _RateGenerator:
             (n2_max, c1 * (cfg.nb1 + 1.0) * n1),
         )
         offsets, rates = zip(*[(offset, rate) for offset, rate in flows if rate.any()])
-        self._matrix = sp.dia_matrix(
+        self.matrix = sp.dia_matrix(
             (np.stack([np.broadcast_to(rate, self.shape).ravel() for rate in rates]), offsets),
             shape=(n1_max * n2_max,) * 2,
         )
@@ -281,11 +281,7 @@ class _RateGenerator:
         self._edge_right = gains.g_b2[:-1, -1]
 
     def max_outflow(self) -> float:
-        return float(-self._matrix.diagonal().min())
-
-    def matrix(self) -> sp.dia_matrix:
-        """The flows as a DIA matrix on p.ravel(); shared, do not modify."""
-        return self._matrix
+        return float(-self.matrix.diagonal().min())
 
     def leak(self, p: np.ndarray) -> float:
         """Rate at which gain flows carry p out of the grid."""
@@ -293,9 +289,6 @@ class _RateGenerator:
         # the BLAS threads, and one dot over the gathered edge sums in another
         # order, which moves the last bit of the tabulated tail_leak.
         return float(self._edge_top @ p[-1, :] + self._edge_right @ p[:-1, -1])
-
-    def apply(self, p: np.ndarray) -> tuple[np.ndarray, float]:
-        return (self._matrix @ p.ravel()).reshape(self.shape), self.leak(p)
 
 
 def apply_generator(
@@ -306,7 +299,7 @@ def apply_generator(
     gen = _RateGenerator(cfg, gains)
     if p.shape != gen.shape:
         raise ValueError(f"p shape {p.shape} does not match grid {gen.shape}")
-    return gen.apply(p)
+    return (gen.matrix @ p.ravel()).reshape(gen.shape), gen.leak(p)
 
 
 def _require_small_leak(tail_leak: float) -> None:
@@ -349,9 +342,10 @@ def rk4_steady_state(
 ) -> SteadyStateResult:
     """Integrate the rate equation to its steady state with fixed-step RK4.
 
-    Starts from the vacuum unless p0 is given and stops once the 1-norm of
-    dP/dt falls below tol.  The step is rejected up front if dt times the
-    fastest total outflow rate exceeds 2.5.
+    Starts from the vacuum unless p0 is given (a distribution with a finite,
+    nonnegative tail_leak) and stops once the 1-norm of dP/dt falls below
+    tol.  The step is rejected up front if dt times the fastest total
+    outflow rate exceeds 2.5.
 
     On p' = Ap the classic step is p + hA(p + h/2 A(p + h/3 A(p + h/4 Ap))),
     and its 1-2-2-1 leak quadrature is h times the leak of the last stage.
@@ -365,6 +359,9 @@ def rk4_steady_state(
         p0 = JointDistribution.vacuum(cfg.n1_max, cfg.n2_max)
     if p0.p.shape != gen.shape:
         raise ValueError(f"p0 shape {p0.p.shape} does not match grid {gen.shape}")
+    if p0.p.min() < 0 or abs(p0.mass() - 1.0) > TAIL_TOLERANCE:
+        raise ValueError(f"p0 is not a distribution: min {p0.p.min():.3e}, mass {p0.mass():.9f}")
+    _require_nonnegative("p0.tail_leak", p0.tail_leak)
 
     rate_scale = gen.max_outflow()
     if dt * rate_scale > 2.5:
@@ -373,7 +370,7 @@ def rk4_steady_state(
             f"use dt <= {2.5 / rate_scale:.3e}"
         )
 
-    mat = gen.matrix()
+    mat = gen.matrix
     p = p0.p.ravel().copy()
     stage = np.empty_like(p)
     stage_grid = stage.reshape(gen.shape)  # a view, for the leak
@@ -418,8 +415,8 @@ def rk4_steady_state(
 
 
 @functools.lru_cache(maxsize=8)
-def _dissection_order(n1_max: int, n2_max: int) -> np.ndarray:
-    """Nested-dissection order of the flattened n1_max x n2_max grid.
+def _dissection(n1_max: int, n2_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nested-dissection order of the flattened grid, and each state's position in it.
 
     Every flow moves at most one step along each axis, so one grid line
     splits a block into two halves with no flow between them.  Each block is
@@ -427,7 +424,7 @@ def _dissection_order(n1_max: int, n2_max: int) -> np.ndarray:
     last, and a block of at most _DISSECTION_LEAF states is one leaf.
     Fill-in from eliminating a half then stays inside that half and its
     separator (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).  Built once
-    per grid shape; the cached array is read-only.
+    per grid shape; both cached arrays are read-only.
     """
     parts = []
 
@@ -444,73 +441,72 @@ def _dissection_order(n1_max: int, n2_max: int) -> np.ndarray:
 
     dissect(np.arange(n1_max * n2_max).reshape(n1_max, n2_max))
     order = np.concatenate(parts)
-    order.flags.writeable = False
-    return order
-
-
-@functools.lru_cache(maxsize=8)
-def _dissection_position(n1_max: int, n2_max: int) -> np.ndarray:
-    """Inverse of _dissection_order: the position of each state in it; read-only."""
-    order = _dissection_order(n1_max, n2_max)
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
+    order.flags.writeable = False
     position.flags.writeable = False
-    return position
+    return order, position
 
 
-def _pinned_solve(mat: sp.spmatrix, shape: tuple[int, int]) -> np.ndarray:
-    """Normalized solution of mat p = 0 with the vacuum pinned, on the grid.
+def _pinned_system(gen: _RateGenerator) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The generator with p[0, 0] = 1 pinned, in dissection order: (CSC, rhs).
 
-    Column j of mat holds the flows out of state j: -outflow on the diagonal
-    and the in-grid rates, >= 0 and summing to at most the outflow, off it.
-    Row 0 becomes s e0 with right-hand side s, pinning p[0, 0] = 1; s is the
-    vacuum's outflow rate, so the pivot is also the largest entry of column
-    0.  Row 0 then holds its pivot alone and eliminating it updates nothing,
-    and the rest is minus a column-diagonally-dominant M-matrix, whose Schur
-    complements stay so.  No pivoting is needed: SuperLU's threshold
-    pivoting keeps every diagonal pivot in the nested-dissection order, and
-    no subtraction cancels (W. J. Stewart, Introduction to the Numerical
-    Solution of Markov Chains, 1994, ch. 2).
+    Column j of the generator holds the flows out of state j: -outflow on
+    the diagonal and the in-grid rates, >= 0 and summing to at most the
+    outflow, off it.  Row 0 becomes s e0 with right-hand side s, where s is
+    the vacuum's outflow rate, so the pivot is also the largest entry of
+    column 0.  Row 0 then holds its pivot alone and eliminating it updates
+    nothing, and the rest is minus a column-diagonally-dominant M-matrix,
+    whose Schur complements stay so: the diagonal pivots need no row
+    swaps (W. J. Stewart, Introduction to the Numerical Solution of Markov
+    Chains, 1994, ch. 2).  As measured, entries of p above 1e-3 are stable
+    to 4e-15, but small entries near an improbable vacuum lose relative
+    accuracy: fig4b at 128x128 has p[0, 0] = 8.0e-16, which moved by 1.3e-2
+    between two dissection orders.
 
-    The pinned system is built in that order straight from the non-zero
-    entries of mat's diagonals (mat may be in any sparse format): row r
-    holds the flows into state order[r], each entry's column mapped to the
-    position of its source state.
+    Row r holds the flows into state order[r], read straight from the
+    generator's diagonals, each column mapped to its source state's position.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla  # spla.spsolve is looked up per call
 
-    dia = mat.todia()
-    n_states = dia.shape[0]
-    order = _dissection_order(*shape)
-    position = _dissection_position(*shape)
-    # Entry k of row r is the flow from state order[r] + offsets[k]; dia.data
-    # may stop short of the last columns.
-    source = order[:, None] + dia.offsets
-    inside = (source >= 0) & (source < min(n_states, dia.data.shape[1]))
+    mat = gen.matrix
+    n_states = mat.shape[0]
+    order, position = _dissection(*gen.shape)
+    # Entry k of row r is the flow from state order[r] + offsets[k].
+    source = order[:, None] + mat.offsets
+    inside = (source >= 0) & (source < n_states)
     source[~inside] = 0
-    rates = dia.data[np.arange(dia.offsets.size), source]
+    rates = mat.data[np.arange(mat.offsets.size), source]
     kept = inside & (rates != 0)
     # The vacuum's row becomes the pin alone.
-    scale = -dia.diagonal()[0] or 1.0
+    scale = -mat.diagonal()[0] or 1.0
     pin = position[0]
-    kept[pin] = dia.offsets == 0
-    rates[pin, dia.offsets == 0] = scale
+    kept[pin] = mat.offsets == 0
+    rates[pin, mat.offsets == 0] = scale
     # The rows come in order, so tocsc leaves each column's rows sorted.
     indptr = np.zeros(n_states + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
     pinned = sp.csr_matrix(
-        (rates[kept], position[source[kept]], indptr), shape=dia.shape
+        (rates[kept], position[source[kept]], indptr), shape=mat.shape
     ).tocsc()
     rhs = np.zeros(n_states)
     rhs[pin] = scale
+    return pinned, rhs
+
+
+def _pinned_solve(gen: _RateGenerator) -> np.ndarray:
+    """Normalized p from _pinned_system, factorized in its order with diagonal pivots."""
+    import scipy.sparse.linalg as spla  # spla.spsolve is looked up per call
+
+    pinned, rhs = _pinned_system(gen)
+    _, position = _dissection(*gen.shape)
     solution = spla.spsolve(pinned, rhs, permc_spec="NATURAL")[position]
     if not np.all(np.isfinite(solution)):
         raise SolverError(
             "direct solve produced non-finite entries: the generator looks "
             "singular, or the vacuum is too improbable to pin; use method='rk4'"
         )
-    return solution.reshape(shape) / solution.sum()
+    return solution.reshape(gen.shape) / solution.sum()
 
 
 def direct_steady_state(
@@ -520,7 +516,7 @@ def direct_steady_state(
 
     Pins p[0, 0] = 1 in place of the redundant vacuum row of the rate
     matrix, factorizes once in nested-dissection order with the diagonal
-    pivots, which the pinned M-matrix makes stable (see _pinned_solve), and
+    pivots, which the pinned M-matrix makes stable (see _pinned_system), and
     normalizes; deterministic, and entirely independent of the time stepper.
     tail_leak is the stationary outflow of the clamped p.
     """
@@ -533,13 +529,12 @@ def direct_steady_state(
     if gains is None:
         gains = build_gain_table(cfg)
     gen = _RateGenerator(cfg, gains)
-    mat = gen.matrix()
-    p = _clamp_roundoff(_pinned_solve(mat, gen.shape))
+    p = _clamp_roundoff(_pinned_solve(gen))
     # Rows 1.. of A p vanish and A p sums to -leak(p): the residual is the
     # leak, so only a residual above a small leak means ill-conditioning.
     leak = gen.leak(p)
     _require_small_leak(leak)
-    residual = float(np.abs(mat @ p.ravel()).sum())
+    residual = float(np.abs(gen.matrix @ p.ravel()).sum())
     if residual > 1e-6:
         raise SolverError(
             f"stationary residual |A p| = {residual:.3e}; the generator looks "

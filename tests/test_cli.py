@@ -308,6 +308,19 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "t_max must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("setting, value, message", [
+        ("--dt", "-5", "dt must be > 0"),
+        ("--tol", "nan", "tol must be finite"),
+        ("--t-max", "0", "t_max must be > 0"),
+    ])
+    def test_direct_solve_checks_the_rk4_settings_it_echoes(self, capsys, setting, value, message):
+        # the table's config echoes dt, tol and t_max, so the direct method
+        # checks them too: a NaN there would make the JSON table invalid
+        rc = main(["steady", "--grid", "16x16", "--r-over-c", "1", setting, value])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["steady", "--frobnicate"])

@@ -11,7 +11,6 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cascade_mazer.master as master
 from cascade_mazer.master import (
     ConvergenceError,
     GainTable,
@@ -25,8 +24,9 @@ from cascade_mazer.master import (
     rk4_steady_state,
     twolevel_detailed_balance,
     _RateGenerator,
-    _dissection_order,
+    _dissection,
     _pinned_solve,
+    _pinned_system,
 )
 from cascade_mazer.scattering import CavityBeam, gain_probabilities, ultracold_approx
 from cascade_mazer.stats import marginals
@@ -157,24 +157,8 @@ def parent_pinned_system(mat, shape: tuple[int, int]) -> tuple[sp.csc_matrix, np
     pinned = sp.vstack([pin, mat[1:]], format="csr")
     rhs = np.zeros(n_states)
     rhs[0] = scale
-    order = _dissection_order(*shape)
+    order, _ = _dissection(*shape)
     return pinned[order][:, order].tocsc(), rhs[order]
-
-
-def pinned_system(monkeypatch, mat, shape: tuple[int, int]) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The matrix and right-hand side that _pinned_solve hands to spsolve."""
-    seen = []
-    solve = master.spla.spsolve
-
-    def capture(a, b, **kwargs):
-        seen.append((a, b))
-        return solve(a, b, **kwargs)
-
-    monkeypatch.setattr(master.spla, "spsolve", capture)
-    _pinned_solve(mat, shape)
-    monkeypatch.undo()
-    (system,) = seen
-    return system
 
 
 def decades(lo: float, hi: float):
@@ -369,7 +353,7 @@ class TestApplyGenerator:
             gains = GainTable(g_b1=rng.random((n1, n2)), g_b2=pair * rng.random((n1, n2)))
             reference = ReferenceFlows(cfg, gains)
             gen = _RateGenerator(cfg, gains)
-            dia = gen.matrix()
+            dia = gen.matrix
             csr = dia.tocsr()
             # one diagonal per flow that moves probability: the one-photon
             # gain and mode-1 up-flow share one, the pair gain and the mode-2
@@ -444,6 +428,29 @@ class TestRk4SteadyState:
     def test_rejects_nonpositive_settings(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             rk4_steady_state(config(n=8), **{name: value})
+
+    # unchecked, the zero grid would "converge" at step 0 to mass 0, and the
+    # others fail later as a leaking grid or a too-large step
+    @pytest.mark.parametrize("case", ["zero", "double", "negative"])
+    def test_rejects_p0_that_is_not_a_distribution(self, case):
+        p0 = JointDistribution.vacuum(8, 8).p
+        if case == "zero":
+            p0[0, 0] = 0.0
+        elif case == "double":
+            p0 *= 2.0
+        else:
+            p0[0, 0], p0[1, 0] = 1.5, -0.5
+        with pytest.raises(ValueError, match="p0 is not a distribution"):
+            rk4_steady_state(config(n=8), p0=JointDistribution(p=p0))
+
+    @pytest.mark.parametrize("tail_leak, message", [
+        (math.nan, "must be finite"), (-3.0, "must be >= 0"),
+    ])
+    def test_rejects_p0_with_a_bad_tail_leak(self, tail_leak, message):
+        p0 = JointDistribution.vacuum(8, 8)
+        p0.tail_leak = tail_leak
+        with pytest.raises(ValueError, match=f"p0.tail_leak {message}"):
+            rk4_steady_state(config(n=8), p0=p0)
 
     def test_matches_textbook_rk4_on_reference_flows(self):
         cfg = MazerConfig(r_over_c=0.3, nb1=0.05, nb2=0.1, beam=PLATEAU_BEAM,
@@ -520,7 +527,7 @@ class TestDirectSteadyState:
         want = exact_pinned_solve(cfg, gains)
         assert want.min() < floor
         gen = _RateGenerator(cfg, gains)
-        got = _pinned_solve(gen.matrix().tocsr(), gen.shape)
+        got = _pinned_solve(gen)
         # every entry to its own relative precision, the far tail included
         assert np.max(np.abs(got - want) / want) < 1e-12
         if nb == 0.0:  # nb = 0.3 does not fit a 9x8 grid's truncation gate
@@ -544,7 +551,7 @@ class TestDirectSteadyState:
         gains = build_gain_table(cfg)
         want = exact_pinned_solve(cfg, gains)
         gen = _RateGenerator(cfg, gains)
-        got = _pinned_solve(gen.matrix(), gen.shape)
+        got = _pinned_solve(gen)
         # entry by entry; states the pump and baths never reach are exactly zero
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
@@ -554,25 +561,26 @@ class TestDirectSteadyState:
         (0.3, 2.0, 1.0), (0.0, 2.0, 1.0), (0.3, 0.0, 1.0), (0.2, 1.0, 0.6),
     ])
     @pytest.mark.parametrize("shape", [(9, 14), (2, 300), (16, 16)])
-    def test_pinned_system_matches_parent_construction(self, monkeypatch, shape, nb, gamma, c2):
+    def test_pinned_system_matches_parent_construction(self, shape, nb, gamma, c2):
         beam = CavityBeam(k_ratio=0.5, kappa_l=20000.0 * math.pi, gamma=gamma)
         cfg = MazerConfig(r_over_c=0.3, nb1=nb, nb2=nb, beam=beam, n1_max=shape[0],
                           n2_max=shape[1], c2_over_c=c2)
         gen = _RateGenerator(cfg, build_gain_table(cfg))
-        assert len(gen.matrix().offsets) == 6 - (nb == 0.0) - (gamma == 0.0)
-        want, want_rhs = parent_pinned_system(gen.matrix(), shape)
-        for mat in (gen.matrix(), gen.matrix().tocsr()):
-            got, rhs = pinned_system(monkeypatch, mat, shape)
-            assert got.format == "csc"
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            assert np.array_equal(rhs, want_rhs)
+        assert len(gen.matrix.offsets) == 6 - (nb == 0.0) - (gamma == 0.0)
+        want, want_rhs = parent_pinned_system(gen.matrix, shape)
+        got, rhs = _pinned_system(gen)
+        assert got.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(rhs, want_rhs)
 
     def test_dissection_order_is_cached_read_only(self):
-        order = _dissection_order(7, 5)
-        assert _dissection_order(7, 5) is order
-        with pytest.raises(ValueError, match="read-only"):
-            order[0] = 1
+        order, position = _dissection(7, 5)
+        assert _dissection(7, 5)[0] is order and _dissection(7, 5)[1] is position
+        assert np.array_equal(position[order], np.arange(35))
+        for cached in (order, position):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1
 
     def test_solves_after_another_shape_repeat_bit_for_bit(self):
         def solve(n1, n2):
@@ -584,18 +592,18 @@ class TestDirectSteadyState:
         solve(20, 28)
         assert np.array_equal(solve(24, 24), first)
 
-    def test_dissection_fill_at_fig4a_128(self, monkeypatch):
+    def test_dissection_fill_at_fig4a_128(self):
         # L+U fill of the pinned fig4a system in the dissection order: 0.93 M
         # with leaves of 16 states, 1.11 M with leaves of 64
         cfg = config(n=128)
         gen = _RateGenerator(cfg, build_gain_table(cfg))
-        pinned, _ = pinned_system(monkeypatch, gen.matrix(), gen.shape)
+        pinned, _ = _pinned_system(gen)
         lu = spla.splu(pinned, permc_spec="NATURAL")
         assert lu.L.nnz + lu.U.nnz <= 950_000
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 300), (3, 7), (9, 14), (256, 256)])
     def test_dissection_order_is_a_permutation(self, shape):
-        order = _dissection_order(*shape)
+        order, _ = _dissection(*shape)
         assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
 
     def test_two_photon_pump_is_label_symmetric(self):
