@@ -575,8 +575,9 @@ class TestDirectSteadyState:
         assert np.array_equal(rhs, want_rhs)
 
     def test_dissection_order_is_cached_read_only(self):
-        order, position = _dissection(7, 5)
-        assert _dissection(7, 5)[0] is order and _dissection(7, 5)[1] is position
+        cached = _dissection(7, 5)
+        assert _dissection(7, 5) is cached
+        order, position = cached
         assert np.array_equal(position[order], np.arange(35))
         for cached in (order, position):
             with pytest.raises(ValueError, match="read-only"):
