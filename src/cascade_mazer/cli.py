@@ -8,6 +8,7 @@ bytes, and every file carries its full configuration in a metadata block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -319,14 +320,22 @@ PRESET_NAMES = tuple(sorted(_EMISSION_PRESETS) + sorted(_STEADY_PRESETS))
 def run_preset(
     name: str,
     *,
-    grid: tuple[int, int] = _GRID,
-    method: str = _METHOD,
+    grid: tuple[int, int] | None = None,
+    method: str | None = None,
     dt: float | None = None,
-    tol: float = _TOL,
-    t_max: float = _T_MAX,
+    tol: float | None = None,
+    t_max: float | None = None,
 ) -> Table:
-    """Reproduce one published dataset; steady ones solve directly unless method="rk4"."""
+    """Reproduce one published dataset; steady ones solve directly unless method="rk4".
+
+    The other arguments set up a steady preset's solve; emission presets refuse them.
+    """
     if name in _EMISSION_PRESETS:
+        steady_only = dict(grid=grid, method=method, dt=dt, tol=tol, t_max=t_max)
+        given = [key for key, value in steady_only.items() if value is not None]
+        if given:
+            raise ValueError(f"preset {name!r} is an emission sweep and takes no "
+                             f"steady-state settings; drop {', '.join(given)}")
         params = _EMISSION_PRESETS[name]
         base = ScatterInput(
             k_ratio=params["k_ratio"], kappa_l=0.0, gamma=2.0, n1=0, n2=0
@@ -345,6 +354,7 @@ def run_preset(
         return table
     if name in _STEADY_PRESETS:
         params = _STEADY_PRESETS[name]
+        n1_max, n2_max = _GRID if grid is None else grid
         cfg = MazerConfig(
             r_over_c=50.0,
             nb1=params["nb"],
@@ -354,15 +364,15 @@ def run_preset(
                 kappa_l=params["kappa_l"],
                 gamma=params["gamma"],
             ),
-            n1_max=grid[0],
-            n2_max=grid[1],
+            n1_max=n1_max,
+            n2_max=n2_max,
         )
         table = steady_sweep(
             cfg,
-            method=method,
+            method=_METHOD if method is None else method,
             dt=params["dt"] if dt is None else dt,
-            tol=tol,
-            t_max=t_max,
+            tol=_TOL if tol is None else tol,
+            t_max=_T_MAX if t_max is None else t_max,
             twolevel_column=params.get("twolevel_column", False),
             note=params.get("note"),
         )
@@ -374,9 +384,15 @@ def run_preset(
 # --- argument plumbing
 
 
-def _load_config_file(path: str) -> dict:
-    """Plain key=value file; '#' starts a comment."""
-    values = {}
+def _config_args(sub: argparse.ArgumentParser, path: str) -> list[str]:
+    """A key = value file as `--flag=value` arguments of `sub`; '#' starts a comment.
+
+    Keys are the flag names of `sub`, so argparse converts and checks a value
+    from the file as it does the flag's; the `=` keeps -inf from reading as an option.
+    """
+    flags = {action.dest: action.option_strings[0] for action in sub._actions
+             if action.option_strings and action.dest not in ("help", "config")}
+    args = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -384,33 +400,12 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line (expected key=value): {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
-    """Make the file's values the defaults of `sub`; keys are its flag names.
-
-    argparse converts a string default through the flag's type when it
-    parses, so a bad value fails as the same bad flag would.
-    """
-    values = _load_config_file(path)
-    flags = {
-        action.dest: action
-        for action in sub._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-    for key, value in values.items():
+        key = key.strip().replace("-", "_")
         if key not in flags:
             accepted = ", ".join(sorted(dest.replace("_", "-") for dest in flags))
             raise ValueError(f"{path}: unknown key {key!r}; accepted keys: {accepted}")
-        choices = flags[key].choices
-        if choices is not None and value not in choices:
-            sub.error(
-                f"argument {flags[key].option_strings[0]}: invalid choice: {value!r} "
-                f"(choose from {', '.join(map(repr, choices))})"
-            )
-    sub.set_defaults(**values)
+        args.append(f"{flags[key]}={value.strip()}")
+    return args
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -444,8 +439,8 @@ def _add_sweep_flags(sub, start=None, end=None):
     sub.add_argument("--steps", type=int, default=2000)
 
 
-def _add_grid_flag(sub):
-    sub.add_argument("--grid", type=_parse_grid, default=_GRID, help="truncation, e.g. 128x128")
+def _add_grid_flag(sub, grid=_GRID):
+    sub.add_argument("--grid", type=_parse_grid, default=grid, help="truncation, e.g. 128x128")
 
 
 def _add_cavity_flags(sub):
@@ -456,15 +451,16 @@ def _add_cavity_flags(sub):
     _add_grid_flag(sub)
 
 
-def _add_solver_flags(sub, dt):
-    sub.add_argument("--method", choices=("rk4", "direct"), default=_METHOD)
+def _add_solver_flags(sub, method=_METHOD, dt=_DT, tol=_TOL, t_max=_T_MAX):
+    sub.add_argument("--method", choices=("rk4", "direct"), default=method)
     sub.add_argument("--dt", type=float, default=dt)
-    sub.add_argument("--tol", type=float, default=_TOL)
-    sub.add_argument("--t-max", type=float, default=_T_MAX)
+    sub.add_argument("--tol", type=float, default=tol)
+    sub.add_argument("--t-max", type=float, default=t_max)
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name."""
+    """The parser and its subcommand parsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cascade-mazer",
         description="Two-mode maser pumped by slow cascade atoms: "
@@ -484,7 +480,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_beam_flags(steady)
     _add_g_ratio_flag(steady)
     _add_cavity_flags(steady)
-    _add_solver_flags(steady, dt=_DT)
+    _add_solver_flags(steady)
     _add_output_flags(steady)
 
     jc = subs.add_parser("jc", help="timed-transit gains over g1*tau")
@@ -507,8 +503,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     preset = subs.add_parser("preset", help="reproduce a published dataset")
     preset.add_argument("name", choices=PRESET_NAMES)
-    _add_grid_flag(preset)
-    _add_solver_flags(preset, dt=None)  # None: the preset's own step
+    _add_grid_flag(preset, grid=None)  # None: run_preset's own settings
+    _add_solver_flags(preset, None, None, None, None)
     _add_output_flags(preset)
 
     return parser, subs.choices
@@ -596,11 +592,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            _apply_config_file(commands[args.command], args.config)
-            args = parser.parse_args(argv)
+            # right after the command name, so that the command line's own flags win
+            extra = _config_args(commands[args.command], args.config)
+            args = parser.parse_args([argv[0], *extra, *argv[1:]])
         _write(_COMMANDS[args.command](args), args.out, args.format)
     except (SolverError, ValueError, OSError) as exc:
         print(f"cascade-mazer: {exc}", file=sys.stderr)

@@ -414,6 +414,23 @@ def rk4_steady_state(
     )
 
 
+def _dissect(block: np.ndarray, parts: list[np.ndarray]) -> None:
+    """Append the nested-dissection order of block's states to parts, part by part.
+
+    A module-level function, not a closure: a closure that calls itself holds
+    a reference cycle, which keeps every block alive until the cyclic collector runs.
+    """
+    if block.size <= _DISSECTION_LEAF:
+        parts.append(block.ravel())
+        return
+    if block.shape[0] < block.shape[1]:
+        block = block.T
+    mid = block.shape[0] // 2
+    _dissect(block[:mid], parts)
+    _dissect(block[mid + 1:], parts)
+    parts.append(block[mid])
+
+
 @functools.lru_cache(maxsize=8)
 def _dissection(n1_max: int, n2_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Nested-dissection order of the flattened grid, and each state's position in it.
@@ -427,19 +444,7 @@ def _dissection(n1_max: int, n2_max: int) -> tuple[np.ndarray, np.ndarray]:
     per grid shape; both cached arrays are read-only.
     """
     parts = []
-
-    def dissect(block: np.ndarray) -> None:
-        if block.size <= _DISSECTION_LEAF:
-            parts.append(block.ravel())
-            return
-        if block.shape[0] < block.shape[1]:
-            block = block.T
-        mid = block.shape[0] // 2
-        dissect(block[:mid])
-        dissect(block[mid + 1:])
-        parts.append(block[mid])
-
-    dissect(np.arange(n1_max * n2_max).reshape(n1_max, n2_max))
+    _dissect(np.arange(n1_max * n2_max).reshape(n1_max, n2_max), parts)
     order = np.concatenate(parts)
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -478,8 +483,10 @@ def _pinned_system(gen: _RateGenerator) -> tuple[sp.csc_matrix, np.ndarray]:
     source[~inside] = 0
     rates = mat.data[np.arange(mat.offsets.size), source]
     kept = inside & (rates != 0)
-    # The vacuum's row becomes the pin alone.
-    scale = -mat.diagonal()[0] or 1.0
+    # The vacuum's row becomes the pin alone.  Its outflow is the pivot unless
+    # that is subnormal (or zero), whose reciprocal would overflow: then 1.
+    outflow = -mat.diagonal()[0]
+    scale = outflow if outflow >= np.finfo(float).tiny else 1.0
     pin = position[0]
     kept[pin] = mat.offsets == 0
     rates[pin, mat.offsets == 0] = scale

@@ -16,6 +16,7 @@ from cascade_mazer.cli import (
     PhysicalScale,
     SweepSpec,
     Table,
+    _build_parser,
     emission_sweep,
     jc_sweep,
     main,
@@ -240,6 +241,11 @@ class TestPresets:
         assert len(t.rows) == 2000
         assert t.rows[-1][0] == pytest.approx(2000.0 * math.pi)
 
+    def test_emission_preset_refuses_steady_settings(self):
+        with pytest.raises(ValueError, match=r"^preset 'fig3b' is an emission sweep and takes "
+                           r"no steady-state settings; drop method, dt, tol, t_max$"):
+            run_preset("fig3b", method="bogus", dt=-1.0, tol=float("nan"), t_max=0.0)
+
     def test_slow_beam_preset_notes_presentation_scaling(self):
         t = run_preset("fig3a")
         assert "unscaled" in t.meta["note"]
@@ -341,6 +347,38 @@ class TestCommandLine:
         assert t.meta["config"]["n1_max"] == 32
         assert t.meta["config"]["method"] == "direct"
 
+    def test_config_run_leaves_the_next_run_at_the_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = rk4\ndt = 0.05\n")
+        argv = ["steady", "--grid", "16x16", "--r-over-c", "1"]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert parse_table(capsys.readouterr().out).meta["config"]["method"] == "rk4"
+        assert main(argv) == 0
+        assert parse_table(capsys.readouterr().out).meta["config"]["method"] == "direct"
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("setting, flag", [
+        ("steps = 2.5", ["--steps", "2.5"]),
+        ("sweep = gamma", ["--sweep", "gamma"]),
+    ])
+    def test_config_value_fails_as_the_flag_does(self, tmp_path, capsys, setting, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        errors = []
+        for argv in (["emission", "--config", str(cfg)], ["emission", *flag]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"cascade-mazer emission: error: argument {flag[0]}: invalid")
+
+    def test_config_value_may_start_with_a_dash(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa-l = -5\n")
+        assert main(["units", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "cascade-mazer: kappa_l must be >= 0, got -5.0\n"
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma = 3\n")
@@ -414,6 +452,15 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exc:
             main(["oracle-twolevel", "--method", "rk4"])
         assert exc.value.code == 2
+
+    def test_emission_preset_refuses_steady_flags(self, capsys):
+        rc = main(["preset", "fig3b", "--grid", "8x8", "--method", "rk4", "--dt", "-5",
+                   "--tol", "nan", "--t-max", "0"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("cascade-mazer: preset 'fig3b' is an emission sweep and takes no "
+                       "steady-state settings; drop grid, method, dt, tol, t_max\n")
 
     def test_preset_command(self, tmp_path):
         out = tmp_path / "fig3b.csv"
