@@ -459,8 +459,9 @@ def _pinned_system(gen: _RateGenerator) -> tuple[sp.csc_matrix, np.ndarray]:
     Column j of the generator holds the flows out of state j: -outflow on
     the diagonal and the in-grid rates, >= 0 and summing to at most the
     outflow, off it.  Row 0 becomes s e0 with right-hand side s, where s is
-    the vacuum's outflow rate, so the pivot is also the largest entry of
-    column 0.  Row 0 then holds its pivot alone and eliminating it updates
+    the vacuum's outflow rate (1 when that is subnormal, since the
+    reciprocal of such a pivot overflows), so the pivot is also the largest
+    entry of column 0.  Row 0 then holds its pivot alone and eliminating it updates
     nothing, and the rest is minus a column-diagonally-dominant M-matrix,
     whose Schur complements stay so: the diagonal pivots need no row
     swaps (W. J. Stewart, Introduction to the Numerical Solution of Markov
