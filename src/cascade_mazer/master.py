@@ -68,6 +68,13 @@ MAX_DIRECT_STATES = 2**16
 # States in one leaf block of the direct solve's nested-dissection order.
 _DISSECTION_LEAF = 16
 
+# Columns in one SuperLU panel.  Its work arrays grow with panel width times
+# states: at fig4a a panel of 1 in place of the default 20 cut how far one
+# solve raises a fresh process's peak RSS from 16 to 12 MB at 128^2, 72 to
+# 51 MB at 256^2 and 175 to 126 MB at 384^2 (tools/solver_memory.py), with
+# the same fill and no longer solve times.
+_SUPERLU_PANEL = 1
+
 # Photon grid and RK4 settings for callers that give none.
 _GRID = (128, 128)
 _DT = 2e-3
@@ -80,9 +87,9 @@ _RESCALE_ABOVE = 2.0**500
 
 
 def __getattr__(name: str):
-    """master.spla, the module _pinned_solve takes spsolve from, imported on access.
+    """master.spla, the module _pinned_solve takes splu from, imported on access.
 
-    perfbench's layer tracer wraps master.spla.spsolve.
+    A tracer can wrap master.spla.splu there and see every factorisation.
     """
     if name == "spla":
         import scipy.sparse.linalg
@@ -408,6 +415,15 @@ def rk4_steady_state(
                 f"probability mass drifted to {mass:.9f} at t = "
                 f"{(step + 1) * dt:.3f}; the grid is leaking"
             )
+    # |dP/dt| >= |sum of dP/dt| = leak(p): once the rest of the residual is
+    # below tol, a leak rate at or above tol is a floor no t_max gets under.
+    leak_rate = gen.leak(p.reshape(gen.shape))
+    if leak_rate >= tol and residual - leak_rate < tol:
+        raise ConvergenceError(
+            f"|dP/dt| = {residual:.3e} after t_max = {t_max} has floored at the "
+            f"stationary leak rate {leak_rate:.3e}, above tol {tol:.0e}; enlarge "
+            f"the photon grid or set tol above {leak_rate:.3e}"
+        )
     raise ConvergenceError(
         f"|dP/dt| = {residual:.3e} after t_max = {t_max} (tol {tol:.0e}); "
         "raise t_max or loosen tol"
@@ -504,16 +520,21 @@ def _pinned_system(gen: _RateGenerator) -> tuple[sp.csc_matrix, np.ndarray]:
 
 def _pinned_solve(gen: _RateGenerator) -> np.ndarray:
     """Normalized p from _pinned_system, factorized in its order with diagonal pivots."""
-    import scipy.sparse.linalg as spla  # spla.spsolve is looked up per call
+    import scipy.sparse.linalg as spla  # spla.splu is looked up per call
 
+    advice = (
+        "the generator looks singular, or the vacuum is too improbable to pin; "
+        "use method='rk4'"
+    )
     pinned, rhs = _pinned_system(gen)
     _, position = _dissection(*gen.shape)
-    solution = spla.spsolve(pinned, rhs, permc_spec="NATURAL")[position]
+    try:
+        factor = spla.splu(pinned, permc_spec="NATURAL", panel_size=_SUPERLU_PANEL)
+    except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
+        raise SolverError(f"direct solve failed ({err}): {advice}") from None
+    solution = factor.solve(rhs)[position]
     if not np.all(np.isfinite(solution)):
-        raise SolverError(
-            "direct solve produced non-finite entries: the generator looks "
-            "singular, or the vacuum is too improbable to pin; use method='rk4'"
-        )
+        raise SolverError(f"direct solve produced non-finite entries: {advice}")
     return solution.reshape(gen.shape) / solution.sum()
 
 

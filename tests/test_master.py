@@ -2,8 +2,11 @@
 
 import gc
 import math
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from cascade_mazer.master import (
     GainTable,
     JointDistribution,
     MazerConfig,
+    SolverError,
     StabilityError,
     TruncationError,
     apply_generator,
@@ -31,6 +35,8 @@ from cascade_mazer.master import (
 )
 from cascade_mazer.scattering import CavityBeam, gain_probabilities, ultracold_approx
 from cascade_mazer.stats import marginals
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 PLATEAU_BEAM = CavityBeam(k_ratio=0.01, kappa_l=20000.0 * math.pi, gamma=2.0)
 SILENT_BEAM = CavityBeam(k_ratio=0.01, kappa_l=0.0, gamma=2.0)
@@ -418,6 +424,21 @@ class TestRk4SteadyState:
         with pytest.raises(TruncationError):
             rk4_steady_state(config(n=8), tol=1e-6, t_max=200.0)
 
+    def test_residual_floored_at_the_leak_asks_for_a_larger_grid(self):
+        # the grid leaks 2.35e-9 per unit time, which |dP/dt| cannot fall
+        # below; a shorter run still asks for a longer one
+        beam = CavityBeam(k_ratio=0.08, kappa_l=140.0, gamma=1.3)
+        cfg = MazerConfig(r_over_c=0.3, nb1=0.0, nb2=0.0, beam=beam, n1_max=8,
+                          n2_max=12, c1_over_c=0.5, c2_over_c=1.3)
+        dt = 1.0 / _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
+        with pytest.raises(ConvergenceError, match="raise t_max"):
+            rk4_steady_state(cfg, dt=dt, tol=1e-10, t_max=30.0)
+        with pytest.raises(ConvergenceError) as err:
+            rk4_steady_state(cfg, dt=dt, tol=1e-10, t_max=100.0)
+        leak = direct_steady_state(cfg).dist.tail_leak
+        assert "floored at the stationary leak rate" in str(err.value)
+        assert f"enlarge the photon grid or set tol above {leak:.3e}" in str(err.value)
+
     @pytest.mark.parametrize("name", ["dt", "t_max", "tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_settings(self, name, value):
@@ -468,18 +489,18 @@ class TestRk4SteadyState:
 
 class TestDirectSteadyState:
     def test_solves_through_master_spla(self, monkeypatch):
-        # the solver is looked up on master.spla at each call, so a wrapper
-        # set there (as perfbench's tracer does) sees every solve
+        # the factorisation is looked up on master.spla at each call, so a
+        # tracer's wrapper set there sees every one
         import cascade_mazer.master as master
 
         calls = []
-        solve = master.spla.spsolve
+        factorize = master.spla.splu
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
-            return solve(*args, **kwargs)
+            return factorize(*args, **kwargs)
 
-        monkeypatch.setattr(master.spla, "spsolve", counted)
+        monkeypatch.setattr(master.spla, "splu", counted)
         direct_steady_state(config(beam=SILENT_BEAM, n=10))
         assert calls == [(100, 100)]
 
@@ -508,6 +529,27 @@ class TestDirectSteadyState:
         beam = CavityBeam(k_ratio=1.0, kappa_l=1e-160, gamma=0.0)
         p = direct_steady_state(config(beam=beam, r=0.1, n=6)).dist.p
         assert p[0, 0] == 1.0 and 0.0 < p[1, 0] < 1e-300
+
+    def test_singular_pinned_system_is_a_solver_error(self):
+        # state (1, 1) made absorbing: its column of the generator is empty, so
+        # SuperLU finds the pinned system exactly singular
+        gen = _RateGenerator(config(beam=SILENT_BEAM, n=4), zero_gains(4))
+        data = gen.matrix.data.copy()
+        data[:, 5] = 0.0
+        gen.matrix = sp.dia_matrix((data, gen.matrix.offsets), shape=gen.matrix.shape)
+        with pytest.raises(SolverError, match="generator looks singular.*method='rk4'"):
+            _pinned_solve(gen)
+
+    def test_solver_peak_memory_at_fig4a_256(self):
+        # SuperLU's work arrays grow with its panel width: in a fresh
+        # interpreter one solve raised the peak RSS by 71.9 MB with panels of
+        # 20 columns and by 50.7 MB with panels of 1
+        code = (f"import runpy; measure = runpy.run_path({str(TOOLS / 'solver_memory.py')!r})"
+                "['measure']; print(measure(256)['rise_mb'])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout.split()[-1]) < 61.0
 
     def test_undersized_grid_fails_loudly(self):
         # mean occupation ~16 cannot fit an 8x8 grid: the stationary leak is

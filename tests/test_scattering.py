@@ -25,6 +25,7 @@ from cascade_mazer.scattering import (
     scatter_channels,
     ultracold_approx,
     _channel_arrays,
+    _gain_arrays,
 )
 
 # flagship operating point: deep tunneling, maximal two-photon gain
@@ -386,6 +387,31 @@ class TestGainProbabilities:
         approx = ultracold_approx(2.0, 3, 5)
         assert gain.p_two == pytest.approx(approx.p_two, abs=5e-3)
         assert gain.p_one < 5e-3
+
+    # one kernel call over a random kappa L array, checked point by point
+    # against the scalar API and, where the 4x4 matching system is well
+    # conditioned, against the wave-matching oracle
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        k=st.floats(0.05, 20.0), lengths=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=8),
+        gamma=st.floats(0.0, 5.0), n1=st.integers(0, 7), n2=st.integers(0, 7),
+    )
+    def test_gain_arrays_match_scalar_api_and_wave_matching(self, k, lengths, gamma, n1, n2):
+        p_one, p_two = _gain_arrays(k, np.array(lengths), gamma, n1, n2)
+        omega = dressed_coefficients(ScatterInput(k, 0.0, gamma, n1, n2)).omega_scaled
+        for i, length in enumerate(lengths):
+            inp = ScatterInput(k_ratio=k, kappa_l=length, gamma=gamma, n1=n1, n2=n2)
+            gain = gain_probabilities(inp)
+            # numpy's abs of a complex array and of a scalar can differ in the last bits
+            assert p_one[i] == pytest.approx(gain.p_one, rel=0.0, abs=1e-15)
+            assert p_two[i] == pytest.approx(gain.p_two, rel=0.0, abs=1e-15)
+            # at the barrier top the oracle's two interior waves coincide
+            q = cmath.sqrt(complex(omega - k * k))
+            if q.real * length > 25.0 or abs(q) < 1e-3:
+                continue
+            _, _, r_b1, t_b1, r_b2, t_b2 = oracle_channels(inp)
+            assert p_one[i] == pytest.approx(abs(r_b1) ** 2 + abs(t_b1) ** 2, abs=1e-12)
+            assert p_two[i] == pytest.approx(abs(r_b2) ** 2 + abs(t_b2) ** 2, abs=1e-12)
 
 
 class TestUltracoldApprox:
