@@ -13,12 +13,14 @@ thermal up-flow out of the last row/column is suppressed so that a purely
 thermal cavity keeps its exact truncated geometric steady state.
 
 Each flow moves probability by a fixed offset in the flattened grid, so the
-generator is one DIA matrix built from the per-flow rate arrays; the time
-stepper applies it as built.  The direct solve pins the vacuum instead of
-adding a dense normalization row, orders the grid by nested dissection
-(built once per grid shape), assembles the pinned system in that order
-straight from the DIA diagonals and factorizes without row swaps, which the
-M-matrix structure of the pinned generator makes stable.
+generator is one DIA matrix, each flow's rates written straight into its own
+row of the DIA data; the time stepper applies it as built.  The gain table is
+filled block by block, so neither costs much more memory than it keeps.  The
+direct solve pins the vacuum instead of adding a dense normalization row,
+orders the grid by nested dissection (built once per grid shape), assembles
+the pinned system in that order straight from the DIA diagonals and
+factorizes without row swaps, which the M-matrix structure of the pinned
+generator makes stable.
 
 scipy.sparse is imported by the solvers on first use, not with the module:
 it is most of the package's import time, and only the steady-state solves
@@ -67,6 +69,12 @@ MAX_DIRECT_STATES = 2**16
 
 # States in one leaf block of the direct solve's nested-dissection order.
 _DISSECTION_LEAF = 16
+
+# States in one block of whole grid rows of the gain table.  One scattering
+# call over the whole grid peaks at about 250 bytes per state in temporaries
+# (67 MB at 512^2, for 4 MB of tables); blocks of 4096 states keep that near
+# 1 MB and are no slower.
+_GAIN_BLOCK = 4096
 
 # Columns in one SuperLU panel.  Its work arrays grow with panel width times
 # states: at fig4a a panel of 1 in place of the default 20 cut how far one
@@ -215,15 +223,25 @@ def build_gain_table(cfg: MazerConfig) -> GainTable:
     Rates already include the pump: g_b1 = (r/C) P(a -> b1) etc.  Entries in
     the last row/column only ever flow out of the grid and feed tail_leak.
     An overflowing beam raises ValueError, without numpy warnings.
+
+    The kernel runs over blocks of whole rows of about _GAIN_BLOCK states and
+    writes into the two tables; every entry has the bits of one call over the
+    whole grid, since the kernel works entry by entry.
     """
-    n1 = np.arange(cfg.n1_max)[:, None]
     n2 = np.arange(cfg.n2_max)[None, :]
+    rows = max(1, _GAIN_BLOCK // cfg.n2_max)
+    g_b1 = np.empty((cfg.n1_max, cfg.n2_max))
+    g_b2 = np.empty_like(g_b1)
     with np.errstate(invalid="ignore", over="ignore"):
-        p_one, p_two = _gain_arrays(
-            cfg.beam.k_ratio, cfg.beam.kappa_l, cfg.beam.gamma, n1, n2
-        )
+        for start in range(0, cfg.n1_max, rows):
+            n1 = np.arange(start, min(start + rows, cfg.n1_max))[:, None]
+            p_one, p_two = _gain_arrays(
+                cfg.beam.k_ratio, cfg.beam.kappa_l, cfg.beam.gamma, n1, n2
+            )
+            np.multiply(cfg.r_over_c, p_one, out=g_b1[start:start + rows])
+            np.multiply(cfg.r_over_c, p_two, out=g_b2[start:start + rows])
     try:
-        return GainTable(g_b1=cfg.r_over_c * p_one, g_b2=cfg.r_over_c * p_two)
+        return GainTable(g_b1=g_b1, g_b2=g_b2)
     except ValueError as err:
         raise ValueError(f"gain table of {cfg.beam}: {err}") from None
 
@@ -250,42 +268,56 @@ class _RateGenerator:
         n1 = np.arange(n1_max, dtype=float)[:, None]
         n2 = np.arange(n2_max, dtype=float)[None, :]
         c1, c2 = cfg.c1_over_c, cfg.c2_over_c
+        g_b1, g_b2 = gains.g_b1, gains.g_b2
 
+        down1 = c1 * (cfg.nb1 + 1.0) * n1
+        down2 = c2 * (cfg.nb2 + 1.0) * n2
         # Thermal up-flow out of the last row/column is suppressed so the
         # truncated thermal chain keeps detailed balance exactly.
         up1_w = cfg.nb1 * c1 * (n1 + 1.0)
         up1_w[-1, :] = 0.0
         up2_w = cfg.nb2 * c2 * (n2 + 1.0)
         up2_w[:, -1] = 0.0
-        outflow = (
-            gains.g_b1 + gains.g_b2
-            + c1 * (cfg.nb1 + 1.0) * n1 + c2 * (cfg.nb2 + 1.0) * n2
-            + up1_w + up2_w
-        )
 
-        # One diagonal per flow: (offset = source - destination, rate at each
-        # source), offsets ascending.  Flows out of the top row fall off the
-        # matrix; rates that would wrap across a row are zero.
-        pair = gains.g_b2.copy()
-        pair[:, -1] = 0.0
-        flows = (
-            (-(n2_max + 1), pair),
-            (-n2_max, gains.g_b1 + up1_w),
-            (-1, up2_w),
-            (0, -outflow),
-            (1, c2 * (cfg.nb2 + 1.0) * n2),
-            (n2_max, c1 * (cfg.nb1 + 1.0) * n1),
-        )
-        offsets, rates = zip(*[(offset, rate) for offset, rate in flows if rate.any()])
+        # One diagonal per flow that is on: offset = source - destination,
+        # ascending, holding the rate at each source.  Flows out of the top
+        # row fall off the matrix; rates that would wrap across a row are
+        # zero, so the pair gain is on only if it is left of the last column.
+        # The outflow and both down-flows are always on: c1, c2 > 0.
+        pair_on = bool(g_b2[:, :-1].any())
+        up1_on = bool(g_b1.any() or up1_w.any())
+        up2_on = bool(up2_w.any())
+        offsets = [offset for offset, on in (
+            (-(n2_max + 1), pair_on), (-n2_max, up1_on), (-1, up2_on),
+            (0, True), (1, True), (n2_max, True),
+        ) if on]
+        # Each rate is written straight into its own row of the DIA data.
+        data = np.empty((len(offsets), n1_max, n2_max))
+        rows = iter(data)
+        if pair_on:
+            pair = next(rows)
+            pair[...] = g_b2
+            pair[:, -1] = 0.0
+        if up1_on:
+            np.add(g_b1, up1_w, out=next(rows))
+        if up2_on:
+            next(rows)[...] = up2_w
+        outflow = next(rows)
+        np.add(g_b1, g_b2, out=outflow)
+        for rate in (down1, down2, up1_w, up2_w):
+            outflow += rate
+        np.negative(outflow, out=outflow)
+        next(rows)[...] = down2
+        next(rows)[...] = down1
         self.matrix = sp.dia_matrix(
-            (np.stack([np.broadcast_to(rate, self.shape).ravel() for rate in rates]), offsets),
-            shape=(n1_max * n2_max,) * 2,
+            (data.reshape(len(offsets), -1), offsets), shape=(n1_max * n2_max,) * 2
         )
 
         # Gain flows with no in-grid destination: last row (both gains) and
-        # last column below it (pair gain only).
-        self._edge_top = gains.g_b1[-1, :] + gains.g_b2[-1, :]
-        self._edge_right = gains.g_b2[:-1, -1]
+        # last column below it (pair gain only), copied so that the
+        # generator keeps no reference to the gain table.
+        self._edge_top = g_b1[-1, :] + g_b2[-1, :]
+        self._edge_right = g_b2[:-1, -1].copy()
 
     def max_outflow(self) -> float:
         return float(-self.matrix.diagonal().min())
@@ -338,6 +370,15 @@ def _finalize(p: np.ndarray, tail_leak: float) -> JointDistribution:
     return dist
 
 
+def _floor_error(residual: float, leak_rate: float, tol: float, when: str) -> ConvergenceError:
+    """RK4's residual stuck at the stationary leak rate, which no t_max gets under."""
+    return ConvergenceError(
+        f"|dP/dt| = {residual:.3e} {when} has floored at the stationary leak rate "
+        f"{leak_rate:.3e}, above tol {tol:.0e}; enlarge the photon grid or set tol "
+        f"above {leak_rate:.3e}"
+    )
+
+
 def rk4_steady_state(
     cfg: MazerConfig,
     p0: JointDistribution | None = None,
@@ -359,9 +400,8 @@ def rk4_steady_state(
     """
     for name, value in (("dt", dt), ("t_max", t_max), ("tol", tol)):
         _require_positive(name, value)
-    if gains is None:
-        gains = build_gain_table(cfg)
-    gen = _RateGenerator(cfg, gains)
+    # A table built here is freed once the generator holds its rates.
+    gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
     if p0 is None:
         p0 = JointDistribution.vacuum(cfg.n1_max, cfg.n2_max)
     if p0.p.shape != gen.shape:
@@ -411,19 +451,20 @@ def rk4_steady_state(
             )
         mass = p.sum()
         if not 1.0 - TAIL_TOLERANCE <= mass <= 1.0 + TAIL_TOLERANCE:
+            # A leak the direct solve accepts still drains TAIL_TOLERANCE of
+            # mass over a long run: past the floor, that is the verdict.
+            when = f"at t = {(step + 1) * dt:.3f}"
+            leak_rate = gen.leak(p.reshape(gen.shape))
+            if tol <= leak_rate <= TAIL_TOLERANCE and residual - leak_rate < tol:
+                raise _floor_error(residual, leak_rate, tol, when)
             raise TruncationError(
-                f"probability mass drifted to {mass:.9f} at t = "
-                f"{(step + 1) * dt:.3f}; the grid is leaking"
+                f"probability mass drifted to {mass:.9f} {when}; the grid is leaking"
             )
     # |dP/dt| >= |sum of dP/dt| = leak(p): once the rest of the residual is
     # below tol, a leak rate at or above tol is a floor no t_max gets under.
     leak_rate = gen.leak(p.reshape(gen.shape))
     if leak_rate >= tol and residual - leak_rate < tol:
-        raise ConvergenceError(
-            f"|dP/dt| = {residual:.3e} after t_max = {t_max} has floored at the "
-            f"stationary leak rate {leak_rate:.3e}, above tol {tol:.0e}; enlarge "
-            f"the photon grid or set tol above {leak_rate:.3e}"
-        )
+        raise _floor_error(residual, leak_rate, tol, f"after t_max = {t_max}")
     raise ConvergenceError(
         f"|dP/dt| = {residual:.3e} after t_max = {t_max} (tol {tol:.0e}); "
         "raise t_max or loosen tol"
@@ -555,9 +596,8 @@ def direct_steady_state(
             f"grid has {n_states} states; the direct solver accepts at most "
             f"{MAX_DIRECT_STATES}; use method='rk4' (--method rk4) for larger grids"
         )
-    if gains is None:
-        gains = build_gain_table(cfg)
-    gen = _RateGenerator(cfg, gains)
+    # A table built here is freed once the generator holds its rates.
+    gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
     p = _clamp_roundoff(_pinned_solve(gen))
     # Rows 1.. of A p vanish and A p sums to -leak(p): the residual is the
     # leak, so only a residual above a small leak means ill-conditioning.

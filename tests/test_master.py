@@ -15,6 +15,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cascade_mazer import cli
 from cascade_mazer.master import (
     ConvergenceError,
     GainTable,
@@ -33,7 +34,9 @@ from cascade_mazer.master import (
     _pinned_solve,
     _pinned_system,
 )
-from cascade_mazer.scattering import CavityBeam, gain_probabilities, ultracold_approx
+from cascade_mazer.scattering import (
+    CavityBeam, _gain_arrays, gain_probabilities, ultracold_approx,
+)
 from cascade_mazer.stats import marginals
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -168,6 +171,47 @@ def parent_pinned_system(mat, shape: tuple[int, int]) -> tuple[sp.csc_matrix, np
     return pinned[order][:, order].tocsc(), rhs[order]
 
 
+def parent_rate_matrix(cfg: MazerConfig, gains: GainTable) -> tuple[list[int], np.ndarray]:
+    """The generator's DIA offsets and data built the earlier way, as the reference.
+
+    Every flow's rate is a full-size array or a broadcast one; the flows with
+    a nonzero rate are raveled and stacked.
+    """
+    n1_max, n2_max = cfg.n1_max, cfg.n2_max
+    n1 = np.arange(n1_max, dtype=float)[:, None]
+    n2 = np.arange(n2_max, dtype=float)[None, :]
+    c1, c2 = cfg.c1_over_c, cfg.c2_over_c
+    up1_w = cfg.nb1 * c1 * (n1 + 1.0)
+    up1_w[-1, :] = 0.0
+    up2_w = cfg.nb2 * c2 * (n2 + 1.0)
+    up2_w[:, -1] = 0.0
+    outflow = (
+        gains.g_b1 + gains.g_b2
+        + c1 * (cfg.nb1 + 1.0) * n1 + c2 * (cfg.nb2 + 1.0) * n2
+        + up1_w + up2_w
+    )
+    pair = gains.g_b2.copy()
+    pair[:, -1] = 0.0
+    flows = (
+        (-(n2_max + 1), pair),
+        (-n2_max, gains.g_b1 + up1_w),
+        (-1, up2_w),
+        (0, -outflow),
+        (1, c2 * (cfg.nb2 + 1.0) * n2),
+        (n2_max, c1 * (cfg.nb1 + 1.0) * n1),
+    )
+    offsets, rates = zip(*[(offset, rate) for offset, rate in flows if rate.any()])
+    return list(offsets), np.stack(
+        [np.broadcast_to(rate, (n1_max, n2_max)).ravel() for rate in rates]
+    )
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and (
+        got.tobytes() == want.tobytes()
+    )
+
+
 def decades(lo: float, hi: float):
     """Floats spread evenly over the decades from 10**lo to 10**hi."""
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
@@ -275,6 +319,92 @@ class TestGainTable:
                 plateau = ultracold_approx(2.0, i, j).p_two
                 assert t.g_b2[i, j] / cfg.r_over_c == pytest.approx(plateau, abs=5e-3)
                 assert t.g_b1[i, j] / cfg.r_over_c < 5e-3
+
+
+def assembly_configs():
+    """The steady presets at 128^2, and odd shapes with thermal modes and c1 != c2.
+
+    Among the shapes, gamma = 0 drops the pair diagonal and nb = 0 the
+    mode-2 up-flow diagonal.
+    """
+    for name, params in sorted(cli._STEADY_PRESETS.items()):
+        beam = CavityBeam(k_ratio=params["k_ratio"], kappa_l=params["kappa_l"],
+                          gamma=params["gamma"])
+        yield pytest.param(MazerConfig(r_over_c=50.0, nb1=params["nb"], nb2=params["nb"],
+                                       beam=beam), id=name)
+    for shape, nb, gamma in [
+        ((2, 300), 0.2, 2.0), ((9, 14), 0.2, 2.0), ((40, 30), 0.2, 2.0),
+        ((9, 14), 0.2, 0.0), ((40, 30), 0.0, 2.0),
+    ]:
+        beam = CavityBeam(k_ratio=1.1, kappa_l=20000.0 * math.pi, gamma=gamma)
+        yield pytest.param(
+            MazerConfig(r_over_c=0.3, nb1=nb, nb2=nb, beam=beam, n1_max=shape[0],
+                        n2_max=shape[1], c1_over_c=0.7),
+            id=f"{shape[0]}x{shape[1]}-nb{nb}-gamma{gamma}",
+        )
+
+
+class TestAssembly:
+    """The gain table and the generator, built in place, against their earlier forms."""
+
+    # the module's block, a block of one row, and blocks of two rows on the
+    # 9 x 14 grid, whose last block is one row
+    @pytest.mark.parametrize("block", [None, 1, 28])
+    @pytest.mark.parametrize("cfg", assembly_configs())
+    def test_gain_table_matches_one_kernel_call(self, cfg, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr("cascade_mazer.master._GAIN_BLOCK", block)
+        with np.errstate(invalid="ignore", over="ignore"):
+            p_one, p_two = _gain_arrays(
+                cfg.beam.k_ratio, cfg.beam.kappa_l, cfg.beam.gamma,
+                np.arange(cfg.n1_max)[:, None], np.arange(cfg.n2_max)[None, :],
+            )
+        gains = build_gain_table(cfg)
+        assert same_bits(gains.g_b1, cfg.r_over_c * p_one)
+        assert same_bits(gains.g_b2, cfg.r_over_c * p_two)
+
+    @pytest.mark.parametrize("cfg", assembly_configs())
+    def test_generator_matches_parent_construction(self, cfg):
+        gains = build_gain_table(cfg)
+        offsets, data = parent_rate_matrix(cfg, gains)
+        mat = _RateGenerator(cfg, gains).matrix
+        assert mat.offsets.tolist() == offsets
+        assert same_bits(mat.data, data)
+
+    @pytest.mark.parametrize("nb1", [0.0, 0.4])
+    def test_pair_gain_only_in_the_last_column_has_no_diagonal(self, nb1):
+        # the last column's pair rates leave the grid, so its diagonal is
+        # off; the mode-1 up-flow keeps the one-photon diagonal on alone
+        cfg = MazerConfig(r_over_c=1.0, nb1=nb1, nb2=0.0, beam=SILENT_BEAM, n1_max=5,
+                          n2_max=7, c2_over_c=1.3)
+        gains = GainTable(g_b1=np.zeros((5, 7)), g_b2=np.zeros((5, 7)))
+        gains.g_b2[:, -1] = 0.25
+        offsets, data = parent_rate_matrix(cfg, gains)
+        mat = _RateGenerator(cfg, gains).matrix
+        assert mat.offsets.tolist() == offsets == ([-7] if nb1 else []) + [0, 1, 7]
+        assert same_bits(mat.data, data)
+
+    def test_generator_keeps_no_reference_to_the_gain_table(self):
+        cfg = config(nb=0.3, n=12)
+        gains = build_gain_table(cfg)
+        gen = _RateGenerator(cfg, gains)
+        for array in (gen.matrix.data, gen._edge_top, gen._edge_right):
+            assert not np.shares_memory(array, gains.g_b1)
+            assert not np.shares_memory(array, gains.g_b2)
+
+    def test_assembly_peak_memory_at_fig6_512(self):
+        # built in place, the fig6 512^2 gain table and generator raised a
+        # fresh interpreter's peak RSS by 17.1 MB, about the 16 MB the two
+        # keep; built from full-size temporaries they raised it by 65.6 MB
+        code = (f"import runpy; assemble = runpy.run_path({str(TOOLS / 'solver_memory.py')!r})"
+                "['assemble']; _, row = assemble('fig6', 512); "
+                "print(row['assembly_mb'], row['kept_mb'])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        rise, kept = map(float, done.stdout.split()[-2:])
+        assert kept == 16.0
+        assert rise < 2.0 * kept
 
 
 class TestApplyGenerator:
@@ -420,17 +550,23 @@ class TestRk4SteadyState:
             rk4_steady_state(config(n=32), t_max=0.5)
 
     def test_undersized_grid_fails_loudly(self):
-        # mean occupation ~16 cannot fit an 8x8 grid
-        with pytest.raises(TruncationError):
+        # mean occupation ~16 cannot fit an 8x8 grid: it leaks 1.68 per unit
+        # time, far above TAIL_TOLERANCE, so the mass drift is the verdict
+        with pytest.raises(TruncationError, match="mass drifted .* the grid is leaking"):
             rk4_steady_state(config(n=8), tol=1e-6, t_max=200.0)
 
-    def test_residual_floored_at_the_leak_asks_for_a_larger_grid(self):
-        # the grid leaks 2.35e-9 per unit time, which |dP/dt| cannot fall
-        # below; a shorter run still asks for a longer one
+    @staticmethod
+    def floored_config() -> tuple[MazerConfig, float]:
+        """A config that leaks 2.35e-9 per unit time, which |dP/dt| cannot fall
+        below, and the step 1 / max outflow."""
         beam = CavityBeam(k_ratio=0.08, kappa_l=140.0, gamma=1.3)
         cfg = MazerConfig(r_over_c=0.3, nb1=0.0, nb2=0.0, beam=beam, n1_max=8,
                           n2_max=12, c1_over_c=0.5, c2_over_c=1.3)
-        dt = 1.0 / _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
+        return cfg, 1.0 / _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
+
+    def test_residual_floored_at_the_leak_asks_for_a_larger_grid(self):
+        # a shorter run still asks for a longer one
+        cfg, dt = self.floored_config()
         with pytest.raises(ConvergenceError, match="raise t_max"):
             rk4_steady_state(cfg, dt=dt, tol=1e-10, t_max=30.0)
         with pytest.raises(ConvergenceError) as err:
@@ -438,6 +574,17 @@ class TestRk4SteadyState:
         leak = direct_steady_state(cfg).dist.tail_leak
         assert "floored at the stationary leak rate" in str(err.value)
         assert f"enlarge the photon grid or set tol above {leak:.3e}" in str(err.value)
+
+    def test_long_run_at_the_leak_floor_is_not_a_leaking_grid(self):
+        # the floored leak drains 1e-6 of mass by t = 431, which the direct
+        # solve's leak gate accepts: the floor is the verdict, not truncation
+        cfg, dt = self.floored_config()
+        with pytest.raises(ConvergenceError) as err:
+            rk4_steady_state(cfg, dt=dt, tol=1e-10, t_max=1000.0)
+        message = str(err.value)
+        assert "at t = 431." in message
+        assert "floored at the stationary leak rate 2.347e-09" in message
+        assert "enlarge the photon grid or set tol above 2.347e-09" in message
 
     @pytest.mark.parametrize("name", ["dt", "t_max", "tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -823,6 +970,19 @@ class TestOracleProperties:
         stepped = rk4_steady_state(cfg, dt=1.0 / gen.max_outflow(), tol=1e-11, gains=gains)
         # damping rates >= 0.5 relax p to within a few residuals of the fixed point
         assert np.abs(stepped.dist.p - solved.dist.p).sum() < 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cfg=small_configs())
+    def test_time_stepping_balances_both_first_moments(self, cfg):
+        gains = build_gain_table(cfg)
+        gen = _RateGenerator(cfg, gains)
+        try:
+            stepped = rk4_steady_state(cfg, dt=1.0 / gen.max_outflow(), tol=1e-11, gains=gains)
+        except SolverError:
+            assume(False)
+        # each residual is -sum n (A p), so at most max(n) |A p|_1
+        bound = (max(cfg.n1_max, cfg.n2_max) - 1) * stepped.residual + 1e-12
+        assert max(map(abs, flux_balance(cfg, gains, stepped.dist.p))) <= bound
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(cfg=small_configs(gamma=0.0))

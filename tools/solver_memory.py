@@ -1,16 +1,18 @@
-"""Time, L+U fill and peak-memory rise of the pinned direct solve on large grids.
+"""Peak-memory rise of the assembly, and cost of the pinned direct solve, on large grids.
 
 Run from the root of a checkout:
 
     python3 tools/solver_memory.py [N ...]
 
-For each N (by default 128, 256, 384 and 512) a fresh interpreter builds the
-fig4a generator on an N x N grid and its pinned system, then times one
-`master._pinned_solve` and reads how far it raises the process's peak RSS
-(`ru_maxrss`).  A factorisation with the same SuperLU settings, made after
-that reading, gives the L+U fill.  `_pinned_solve` does not check
-`MAX_DIRECT_STATES` (`direct_steady_state` does), so grids above 256^2 run
-too.  One grid at a time: 512^2 peaks near 0.5 GB.
+For each N (by default 128, 256, 384 and 512) a fresh interpreter first
+builds the fig4a gain table and generator on an N x N grid and reads how far
+that raises the process's peak RSS (`ru_maxrss`), beside the bytes the two
+keep.  It then builds the pinned system, times one `master._pinned_solve` and
+reads how far the solve raises the peak RSS.  A factorisation with the same
+SuperLU settings, made after that reading, gives the L+U fill.
+`_pinned_solve` does not check `MAX_DIRECT_STATES` (`direct_steady_state`
+does), so grids above 256^2 run too.  One grid at a time: 512^2 peaks near
+0.5 GB.
 """
 
 from __future__ import annotations
@@ -35,16 +37,36 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def measure(n: int) -> dict:
-    """One grid's solve time, fill and peak RSS rise, in the calling process."""
-    import scipy.sparse.linalg as spla
+def assemble(preset: str, n: int) -> tuple[master._RateGenerator, dict]:
+    """A steady preset's generator on an n x n grid, and how much building it cost.
 
-    params = cli._STEADY_PRESETS["fig4a"]
+    assembly_mb is how far building the gain table and the generator raised
+    the peak RSS, and kept_mb the bytes of the two tables and the DIA data.
+    """
+    import scipy.sparse  # noqa: F401  (loaded by a first solve; not part of the reading)
+
+    params = cli._STEADY_PRESETS[preset]
     beam = CavityBeam(k_ratio=params["k_ratio"], kappa_l=params["kappa_l"],
                       gamma=params["gamma"])
     cfg = master.MazerConfig(r_over_c=50.0, nb1=params["nb"], nb2=params["nb"], beam=beam,
                              n1_max=n, n2_max=n)
-    gen = master._RateGenerator(cfg, master.build_gain_table(cfg))
+    before = _peak_mb()
+    gains = master.build_gain_table(cfg)
+    gen = master._RateGenerator(cfg, gains)
+    rise = _peak_mb() - before
+    kept = gains.g_b1.nbytes + gains.g_b2.nbytes + gen.matrix.data.nbytes
+    return gen, {"assembly_mb": rise, "kept_mb": kept / 2**20}
+
+
+def measure(n: int) -> dict:
+    """One fig4a grid's assembly memory, then its solve time, fill and peak RSS rise.
+
+    Call it in a fresh process: the assembly is read first, so that no
+    earlier work sets its peak.
+    """
+    import scipy.sparse.linalg as spla
+
+    gen, row = assemble("fig4a", n)
     pinned, _ = master._pinned_system(gen)
     before = _peak_mb()
     start = time.perf_counter()
@@ -52,8 +74,8 @@ def measure(n: int) -> dict:
     seconds = time.perf_counter() - start
     rise = _peak_mb() - before
     factor = spla.splu(pinned, permc_spec="NATURAL", panel_size=master._SUPERLU_PANEL)
-    return {"n": n, "solve_s": seconds, "fill": factor.nnz, "base_mb": before,
-            "rise_mb": rise}
+    row.update(n=n, solve_s=seconds, fill=factor.nnz, base_mb=before, rise_mb=rise)
+    return row
 
 
 def main() -> int:
@@ -61,14 +83,16 @@ def main() -> int:
     parser.add_argument("grids", nargs="*", type=int, default=GRIDS,
                         help="grid sides to measure (default: %(default)s)")
     args = parser.parse_args()
-    print(f"{'grid':>9} {'solve s':>8} {'L+U fill':>10} {'base MB':>8} {'rise MB':>8}")
+    print(f"{'grid':>9} {'asm MB':>7} {'kept MB':>8} {'solve s':>8} {'L+U fill':>10} "
+          f"{'base MB':>8} {'rise MB':>8}")
     spawn = multiprocessing.get_context("spawn")
     for n in args.grids:
         # a fresh interpreter per grid, so no earlier solve sets its peak
         with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
             row = pool.submit(measure, n).result()
-        print(f"{n:>4}x{n:<4} {row['solve_s']:8.3f} {row['fill']:10d} "
-              f"{row['base_mb']:8.1f} {row['rise_mb']:8.1f}", flush=True)
+        print(f"{n:>4}x{n:<4} {row['assembly_mb']:7.1f} {row['kept_mb']:8.1f} "
+              f"{row['solve_s']:8.3f} {row['fill']:10d} {row['base_mb']:8.1f} "
+              f"{row['rise_mb']:8.1f}", flush=True)
     return 0
 
 
