@@ -172,7 +172,6 @@ def steady_sweep(
     tol: float = _TOL,
     t_max: float = _T_MAX,
     twolevel_column: bool = False,
-    note: str | None = None,
 ) -> Table:
     """Steady-state marginals P1(n), P2(n) with moment and solver metadata.
 
@@ -217,8 +216,6 @@ def steady_sweep(
             "model_time": result.model_time,
         },
     }
-    if note:
-        meta["note"] = note
     config = dict(_config_meta(cfg), method=method, dt=dt, tol=tol, t_max=t_max)
     return _table("steady", config, columns, _marginal_rows(*series), **meta)
 
@@ -295,26 +292,41 @@ _FIG6_NOTE = (
     "published figure scales the gamma=0 column by 5; emitted data is unscaled"
 )
 _FIG6_KAPPA_L = 40000.0 * math.pi / math.sqrt(2.0)  # fourth root of 4
+_KAPPA_L = 20000.0 * math.pi
+# Fig. 3: gamma = 2 with both modes empty; the kappa_l window of fig3a, around
+# 20000 pi, is our choice, since the source gives none
+_FIG3 = dict(sweep="kappa-l", g_ratio=2.0, n1=0, n2=0)
+# Figs. 4-7: the pump, and the same damping for both modes
+_CAVITY = dict(r_over_c=50.0, c1=1.0, c2=1.0)
 
-_EMISSION_PRESETS = {
-    # kappa_l window around 20000 pi is our choice; the source gives none.
-    "fig3a": dict(k_ratio=0.01, start=62800.0, end=62864.0, steps=8000, note=_FIG3A_NOTE),
-    "fig3b": dict(k_ratio=100.0, start=0.0, end=2000.0 * math.pi, steps=2000, note=None),
-}
-
-_STEADY_PRESETS = {
-    "fig4a": dict(k_ratio=0.01, kappa_l=20000.0 * math.pi, gamma=2.0, nb=0.0, dt=2e-3),
-    "fig4b": dict(k_ratio=0.01, kappa_l=20000.0 * math.pi, gamma=1.0, nb=0.0, dt=2e-3),
-    "fig5": dict(k_ratio=100.0, kappa_l=20000.0 * math.pi, gamma=2.0, nb=0.0, dt=2e-3),
+# name: (command, its flag values, note, whether the gamma = 0 column is added)
+_PRESETS = {
+    "fig3a": ("emission", dict(_FIG3, k_ratio=0.01, start=62800.0, end=62864.0, steps=8000),
+              _FIG3A_NOTE, False),
+    "fig3b": ("emission", dict(_FIG3, k_ratio=100.0, start=0.0, end=2000.0 * math.pi,
+                               steps=2000), None, False),
+    "fig4a": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0,
+                             dt=2e-3), None, False),
+    "fig4b": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_KAPPA_L, g_ratio=1.0, nb=0.0,
+                             dt=2e-3), None, False),
+    "fig5": ("steady", dict(_CAVITY, k_ratio=100.0, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0,
+                            dt=2e-3), None, False),
     # nb=1 startup transient needs the finer step to stay positive
-    "fig6": dict(
-        k_ratio=0.01, kappa_l=_FIG6_KAPPA_L, gamma=2.0, nb=1.0, dt=1e-3,
-        twolevel_column=True, note=_FIG6_NOTE,
-    ),
-    "fig7": dict(k_ratio=1.1, kappa_l=20000.0 * math.pi, gamma=2.0, nb=0.0, dt=2e-3),
+    "fig6": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_FIG6_KAPPA_L, g_ratio=2.0, nb=1.0,
+                            dt=1e-3), _FIG6_NOTE, True),
+    "fig7": ("steady", dict(_CAVITY, k_ratio=1.1, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0,
+                            dt=2e-3), None, False),
 }
 
-PRESET_NAMES = tuple(sorted(_EMISSION_PRESETS) + sorted(_STEADY_PRESETS))
+PRESET_NAMES = tuple(sorted(_PRESETS))
+
+
+def _preset_args(name: str, **settings) -> argparse.Namespace:
+    """Preset `name` as its command's flags: the defaults, its own values, then `settings`."""
+    command, flags, _, _ = _PRESETS[name]
+    args = _build_parser()[1][command].parse_args([])
+    vars(args).update(flags, **settings)
+    return args
 
 
 def run_preset(
@@ -330,55 +342,20 @@ def run_preset(
 
     The other arguments set up a steady preset's solve; emission presets refuse them.
     """
-    if name in _EMISSION_PRESETS:
-        steady_only = dict(grid=grid, method=method, dt=dt, tol=tol, t_max=t_max)
-        given = [key for key, value in steady_only.items() if value is not None]
-        if given:
-            raise ValueError(f"preset {name!r} is an emission sweep and takes no "
-                             f"steady-state settings; drop {', '.join(given)}")
-        params = _EMISSION_PRESETS[name]
-        base = ScatterInput(
-            k_ratio=params["k_ratio"], kappa_l=0.0, gamma=2.0, n1=0, n2=0
-        )
-        spec = SweepSpec(
-            param="kappa_l",
-            start=params["start"],
-            end=params["end"],
-            steps=params["steps"],
-            base=base,
-        )
-        table = emission_sweep(spec)
-        table.meta["preset"] = name
-        if params["note"]:
-            table.meta["note"] = params["note"]
-        return table
-    if name in _STEADY_PRESETS:
-        params = _STEADY_PRESETS[name]
-        n1_max, n2_max = _GRID if grid is None else grid
-        cfg = MazerConfig(
-            r_over_c=50.0,
-            nb1=params["nb"],
-            nb2=params["nb"],
-            beam=CavityBeam(
-                k_ratio=params["k_ratio"],
-                kappa_l=params["kappa_l"],
-                gamma=params["gamma"],
-            ),
-            n1_max=n1_max,
-            n2_max=n2_max,
-        )
-        table = steady_sweep(
-            cfg,
-            method=_METHOD if method is None else method,
-            dt=params["dt"] if dt is None else dt,
-            tol=_TOL if tol is None else tol,
-            t_max=_T_MAX if t_max is None else t_max,
-            twolevel_column=params.get("twolevel_column", False),
-            note=params.get("note"),
-        )
-        table.meta["preset"] = name
-        return table
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    command, _, note, twolevel_column = _PRESETS[name]
+    settings = dict(grid=grid, method=method, dt=dt, tol=tol, t_max=t_max)
+    given = {key: value for key, value in settings.items() if value is not None}
+    if command == "emission" and given:
+        raise ValueError(f"preset {name!r} is an emission sweep and takes no "
+                         f"steady-state settings; drop {', '.join(given)}")
+    args = _preset_args(name, **given)
+    table = _cmd_steady(args, twolevel_column) if command == "steady" else _cmd_emission(args)
+    table.meta["preset"] = name
+    if note:
+        table.meta["note"] = note
+    return table
 
 
 # --- argument plumbing
@@ -539,13 +516,14 @@ def _mazer_config(args, gamma: float) -> MazerConfig:
     )
 
 
-def _cmd_steady(args) -> Table:
+def _cmd_steady(args, twolevel_column: bool = False) -> Table:
     return steady_sweep(
         _mazer_config(args, args.g_ratio),
         method=args.method,
         dt=args.dt,
         tol=args.tol,
         t_max=args.t_max,
+        twolevel_column=twolevel_column,
     )
 
 

@@ -60,9 +60,10 @@ __all__ = [
     "twolevel_detailed_balance",
 ]
 
-# Truncation diagnostics: accumulated boundary loss and mass in the two
-# outermost shells must stay below this or the run is rejected.
+# Truncation diagnostics: accumulated boundary loss and mass in the
+# _TAIL_SHELLS outermost shells must stay below this or the run is rejected.
 TAIL_TOLERANCE = 1e-6
+_TAIL_SHELLS = 2
 
 # Largest grid the sparse direct solver accepts.
 MAX_DIRECT_STATES = 2**16
@@ -198,9 +199,9 @@ class JointDistribution:
     def mass(self) -> float:
         return float(self.p.sum())
 
-    def tail_mass(self, shells: int = 2) -> float:
-        """Probability sitting in the outermost `shells` rows and columns."""
-        s = shells
+    def tail_mass(self) -> float:
+        """Probability sitting in the _TAIL_SHELLS outermost rows and columns."""
+        s = _TAIL_SHELLS
         return float(
             self.p[-s:, :].sum() + self.p[:, -s:].sum() - self.p[-s:, -s:].sum()
         )

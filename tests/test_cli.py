@@ -13,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascade_mazer.cli import (
+    _PRESETS,
+    PRESET_NAMES,
     PhysicalScale,
     SweepSpec,
     Table,
@@ -263,6 +265,26 @@ class TestPresets:
     def test_direct_preset_reports_nonnegative_leak(self, name):
         # the leak is the outflow of the clamped, nonnegative distribution
         assert run_preset(name).meta["convergence"]["tail_leak"] >= 0.0
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_is_its_command_with_the_preset_flags(self, name, tmp_path):
+        # the steady presets at 96^2, where fig6's wide thermal distribution fits
+        command, flags, _, twolevel_column = _PRESETS[name]
+        steady = command == "steady"
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        argv += ["--grid=96x96"] if steady else []
+        table = run_preset(name, grid=(96, 96) if steady else None)
+        del table.meta["preset"]
+        table.meta.pop("note", None)
+        if twolevel_column:
+            # the gamma = 0 column is the oracle-twolevel command on the same cavity
+            oracle = [arg for arg in argv if not arg.startswith(("--g-ratio=", "--dt="))]
+            assert main(["oracle-twolevel", *oracle, "--out", str(tmp_path / "oracle")]) == 0
+            balance = parse_table((tmp_path / "oracle").read_text())
+            assert [row.pop() for row in table.rows] == [row[1] for row in balance.rows]
+            assert table.columns.pop() == "p1_twolevel"
+        assert main([command, *argv, "--out", str(tmp_path / "table")]) == 0
+        assert (tmp_path / "table").read_text() == serialize(table)
 
     def test_thermal_preset_carries_oracle_column(self):
         # nb=1 widens the distribution: 64^2 leaks too much for the direct

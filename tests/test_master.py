@@ -327,11 +327,10 @@ def assembly_configs():
     Among the shapes, gamma = 0 drops the pair diagonal and nb = 0 the
     mode-2 up-flow diagonal.
     """
-    for name, params in sorted(cli._STEADY_PRESETS.items()):
-        beam = CavityBeam(k_ratio=params["k_ratio"], kappa_l=params["kappa_l"],
-                          gamma=params["gamma"])
-        yield pytest.param(MazerConfig(r_over_c=50.0, nb1=params["nb"], nb2=params["nb"],
-                                       beam=beam), id=name)
+    for name, (command, _, _, _) in sorted(cli._PRESETS.items()):
+        if command == "steady":
+            args = cli._preset_args(name)
+            yield pytest.param(cli._mazer_config(args, args.g_ratio), id=name)
     for shape, nb, gamma in [
         ((2, 300), 0.2, 2.0), ((9, 14), 0.2, 2.0), ((40, 30), 0.2, 2.0),
         ((9, 14), 0.2, 0.0), ((40, 30), 0.0, 2.0),
@@ -925,8 +924,8 @@ class TestFluxBalance:
 
 
 @st.composite
-def small_configs(draw, gamma=None):
-    """Random configs with c1 != c2 on grids up to 12^2, which most of them fit."""
+def small_configs(draw, gamma=None, side=12):
+    """Random configs with c1 != c2 on grids from 6^2 up to side^2, which most of them fit."""
     if gamma is None:
         gamma = draw(st.just(0.0) | decades(-1, 1))
     nb = draw(st.just(0.0) | decades(-3, -1.3))
@@ -935,7 +934,7 @@ def small_configs(draw, gamma=None):
     c1, c2 = draw(st.lists(decades(-0.3, 0.3), min_size=2, max_size=2, unique=True))
     return MazerConfig(
         r_over_c=draw(decades(-2, -0.3)), nb1=nb, nb2=nb, beam=beam,
-        n1_max=draw(st.integers(6, 12)), n2_max=draw(st.integers(6, 12)),
+        n1_max=draw(st.integers(6, side)), n2_max=draw(st.integers(6, side)),
         c1_over_c=c1, c2_over_c=c2,
     )
 
@@ -952,7 +951,7 @@ class TestOracleProperties:
     """The independent oracles as properties of small random configs."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cfg=small_configs())
+    @given(cfg=small_configs(side=24))
     def test_direct_solve_balances_both_first_moments(self, cfg):
         gains = build_gain_table(cfg)
         p = solve_if_it_fits(cfg, gains).dist.p
@@ -985,7 +984,7 @@ class TestOracleProperties:
         assert max(map(abs, flux_balance(cfg, gains, stepped.dist.p))) <= bound
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cfg=small_configs(gamma=0.0))
+    @given(cfg=small_configs(gamma=0.0, side=24))
     def test_decoupled_direct_solve_matches_detailed_balance(self, cfg):
         gains = build_gain_table(cfg)
         solved = solve_if_it_fits(cfg, gains)

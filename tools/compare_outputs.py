@@ -42,11 +42,14 @@ OUTPUTS = (
     *((f"{name}-{n}", ("preset", name, "--grid", f"{n}x{n}"))
       for name in ("fig4a", "fig4b", "fig5", "fig6", "fig7") for n in (128, 256)),
     ("fig4a-rk4", ("preset", "fig4a", "--method", "rk4")),
+    ("fig4a-json", ("preset", "fig4a", "--grid", "64x64", "--format", "json")),
     ("oracle-twolevel", ("oracle-twolevel", "--grid", "64x64", "--nb", "0.3")),
     ("steady", ("steady", "--grid", "40x30", "--r-over-c", "2", "--nb", "0.2", "--c1", "0.7")),
     ("steady-rk4", ("steady", "--grid", "24x24", "--r-over-c", "1", "--method", "rk4")),
     ("fig3a", ("preset", "fig3a")),
     ("fig3b", ("preset", "fig3b")),
+    ("emission-k-ratio", ("emission", "--sweep", "k-ratio", "--start", "0.05", "--end", "3",
+                          "--steps", "200", "--kappa-l", "40")),
     ("jc", ("jc", "--start", "0", "--end", "6.28", "--steps", "200")),
     ("units", ("units",)),
     ("steady-config", ("steady", "--config", CONFIG, "--r-over-c", "2")),
@@ -89,7 +92,8 @@ def report(old: str, new: str) -> str | None:
     """One line saying how two outputs differ; None when text other than numbers does."""
     if old == new:
         return "identical"
-    # a CSV table: the metadata comment, the header, then the cells
+    # a CSV table: the metadata comment, the header, then the cells; in a JSON
+    # table, all but the opening brace count as cells
     (old_meta, _, old_cells), (new_meta, _, new_cells) = old.partition("\n"), new.partition("\n")
     meta, cells = largest_difference(old_meta, new_meta), largest_difference(old_cells, new_cells)
     if meta is None or cells is None:

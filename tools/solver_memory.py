@@ -28,7 +28,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cascade_mazer import cli, master  # noqa: E402
-from cascade_mazer.scattering import CavityBeam  # noqa: E402
 
 GRIDS = (128, 256, 384, 512)
 
@@ -45,11 +44,8 @@ def assemble(preset: str, n: int) -> tuple[master._RateGenerator, dict]:
     """
     import scipy.sparse  # noqa: F401  (loaded by a first solve; not part of the reading)
 
-    params = cli._STEADY_PRESETS[preset]
-    beam = CavityBeam(k_ratio=params["k_ratio"], kappa_l=params["kappa_l"],
-                      gamma=params["gamma"])
-    cfg = master.MazerConfig(r_over_c=50.0, nb1=params["nb"], nb2=params["nb"], beam=beam,
-                             n1_max=n, n2_max=n)
+    args = cli._preset_args(preset, grid=(n, n))
+    cfg = cli._mazer_config(args, args.g_ratio)
     before = _peak_mb()
     gains = master.build_gain_table(cfg)
     gen = master._RateGenerator(cfg, gains)
