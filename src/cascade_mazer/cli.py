@@ -38,7 +38,7 @@ from .scattering import (
     gain_probabilities,  # not called here; the benchmark tracer resolves it
     scatter_channels,
 )
-from .stats import classify, marginals, moments
+from .stats import marginals, moments
 from .units import DEFAULT_G1_RAD_PER_S, RB85_MASS_KG, PhysicalScale, physical_scale
 
 __all__ = [
@@ -171,15 +171,12 @@ def steady_sweep(
     dt: float = _DT,
     tol: float = _TOL,
     t_max: float = _T_MAX,
-    twolevel_column: bool = False,
 ) -> Table:
     """Steady-state marginals P1(n), P2(n) with moment and solver metadata.
 
     Solved directly unless method="rk4", the check that also takes grids
     above MAX_DIRECT_STATES; dt, tol and t_max steer only RK4, but the
     table's config echoes them, so they must be finite and positive for both.
-    With twolevel_column=True an extra column holds the detailed-balance
-    mode-1 distribution of the same config at gamma = 0.
     """
     for name, value in (("dt", dt), ("t_max", t_max), ("tol", tol)):
         _require_positive(name, value)
@@ -189,26 +186,8 @@ def steady_sweep(
         result = direct_steady_state(cfg)
     else:
         raise ValueError(f"method must be rk4 or direct, got {method!r}")
-    p1, p2 = marginals(result.dist)
-    summary = moments(result.dist)
-
-    columns = ["n", "p1", "p2"]
-    series = [p1, p2]
-    if twolevel_column:
-        oracle_cfg = replace(cfg, beam=replace(cfg.beam, gamma=0.0))
-        oracle_p1, _ = twolevel_detailed_balance(oracle_cfg)
-        columns.append("p1_twolevel")
-        series.append(oracle_p1)
-
     meta = {
-        "moments": {
-            "mean1": summary.mean1,
-            "mean2": summary.mean2,
-            "var1_norm": summary.var1_norm,
-            "var2_norm": summary.var2_norm,
-            "label1": classify(summary.var1_norm),
-            "label2": classify(summary.var2_norm),
-        },
+        "moments": asdict(moments(result.dist)),
         "convergence": {
             "iterations": result.iterations,
             "residual": result.residual,
@@ -217,7 +196,8 @@ def steady_sweep(
         },
     }
     config = dict(_config_meta(cfg), method=method, dt=dt, tol=tol, t_max=t_max)
-    return _table("steady", config, columns, _marginal_rows(*series), **meta)
+    rows = _marginal_rows(*marginals(result.dist))
+    return _table("steady", config, ["n", "p1", "p2"], rows, **meta)
 
 
 def oracle_table(cfg: MazerConfig) -> Table:
@@ -341,6 +321,8 @@ def run_preset(
     """Reproduce one published dataset; steady ones solve directly unless method="rk4".
 
     The other arguments set up a steady preset's solve; emission presets refuse them.
+    fig6 adds a p1_twolevel column: the p1_balance column of oracle-twolevel
+    on the same cavity, its mode-1 distribution at gamma = 0.
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -351,7 +333,11 @@ def run_preset(
         raise ValueError(f"preset {name!r} is an emission sweep and takes no "
                          f"steady-state settings; drop {', '.join(given)}")
     args = _preset_args(name, **given)
-    table = _cmd_steady(args, twolevel_column) if command == "steady" else _cmd_emission(args)
+    table = _COMMANDS[command](args)
+    if twolevel_column:
+        table.columns.append("p1_twolevel")
+        for row, balance in zip(table.rows, _cmd_oracle(args).rows):
+            row.append(balance[1])
     table.meta["preset"] = name
     if note:
         table.meta["note"] = note
@@ -516,14 +502,13 @@ def _mazer_config(args, gamma: float) -> MazerConfig:
     )
 
 
-def _cmd_steady(args, twolevel_column: bool = False) -> Table:
+def _cmd_steady(args) -> Table:
     return steady_sweep(
         _mazer_config(args, args.g_ratio),
         method=args.method,
         dt=args.dt,
         tol=args.tol,
         t_max=args.t_max,
-        twolevel_column=twolevel_column,
     )
 
 

@@ -253,9 +253,12 @@ class _RateGenerator:
     matrix holds every in-grid flow, one diagonal per flow that is on, and is
     shared: do not modify it.  The gain flows that leave the top of the grid
     have no row to land in and are returned as the leak rate, a dot product
-    of their rates with the edge entries of p.
+    of their rates with the edge entries of p.  Rates that overflow double
+    precision are refused: every rate is part of some state's outflow.
     """
 
+    # an overflowing rate is refused below, by name, in place of numpy's warning
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, cfg: MazerConfig, gains: GainTable):
         import scipy.sparse as sp
 
@@ -307,6 +310,13 @@ class _RateGenerator:
         np.add(g_b1, g_b2, out=outflow)
         for rate in (down1, down2, up1_w, up2_w):
             outflow += rate
+        if not np.all(np.isfinite(outflow)):
+            n1, n2 = np.argwhere(~np.isfinite(outflow))[0]
+            raise ValueError(
+                f"the outflow rate of state (n1, n2) = ({n1}, {n2}) overflows double "
+                "precision; lower c1_over_c, c2_over_c (--c1, --c2), nb1, nb2 (--nb) or "
+                "r_over_c (--r-over-c), or use a smaller grid (--grid)"
+            )
         np.negative(outflow, out=outflow)
         next(rows)[...] = down2
         next(rows)[...] = down1
@@ -401,6 +411,9 @@ def rk4_steady_state(
     """
     for name, value in (("dt", dt), ("t_max", t_max), ("tol", tol)):
         _require_positive(name, value)
+    if not math.isfinite(t_max / dt):
+        raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} overflows the step count; "
+                         "raise dt (--dt) or lower t_max (--t-max)")
     # A table built here is freed once the generator holds its rates.
     gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
     if p0 is None:

@@ -17,18 +17,18 @@ DEAD_BAND = 1e-3
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Per-mode means and normalized variances sigma^2 = (<n^2>-<n>^2)/<n>.
+    """Per-mode means, normalized variances sigma^2 = (<n^2>-<n>^2)/<n>, and labels.
 
     A mode stuck at exactly zero photons has no defined normalized variance;
-    it is reported as 0.0 with the matching zero_mean flag set.
+    it is reported as 0.0 and labelled "vacuum".
     """
 
     mean1: float
     mean2: float
     var1_norm: float
     var2_norm: float
-    zero_mean1: bool = False
-    zero_mean2: bool = False
+    label1: str
+    label2: str
 
 
 def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -36,34 +36,29 @@ def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     return dist.p.sum(axis=1), dist.p.sum(axis=0)
 
 
-def _mode_moments(marginal: np.ndarray) -> tuple[float, float, bool]:
+def _mode_moments(marginal: np.ndarray) -> tuple[float, float, str]:
     n = np.arange(marginal.size)
     mean = float(marginal @ n)
     if mean <= 0.0:
-        return 0.0, 0.0, True
+        return 0.0, 0.0, "vacuum"
     second = float(marginal @ (n * n))
-    return mean, (second - mean * mean) / mean, False
+    var_norm = (second - mean * mean) / mean
+    return mean, var_norm, classify(var_norm)
 
 
 def moments(dist: JointDistribution) -> MomentSummary:
     """Exact sums over the truncated grid; no tail extrapolation."""
     p1, p2 = marginals(dist)
-    mean1, var1, zero1 = _mode_moments(p1)
-    mean2, var2, zero2 = _mode_moments(p2)
-    return MomentSummary(
-        mean1=mean1,
-        mean2=mean2,
-        var1_norm=var1,
-        var2_norm=var2,
-        zero_mean1=zero1,
-        zero_mean2=zero2,
-    )
+    mean1, var1, label1 = _mode_moments(p1)
+    mean2, var2, label2 = _mode_moments(p2)
+    return MomentSummary(mean1=mean1, mean2=mean2, var1_norm=var1, var2_norm=var2,
+                         label1=label1, label2=label2)
 
 
-def classify(var_norm: float, dead_band: float = DEAD_BAND) -> str:
-    """Label photon statistics from the normalized variance."""
-    if var_norm > 1.0 + dead_band:
+def classify(var_norm: float) -> str:
+    """Label photon statistics from the normalized variance, within DEAD_BAND of 1."""
+    if var_norm > 1.0 + DEAD_BAND:
         return "super-Poissonian"
-    if var_norm < 1.0 - dead_band:
+    if var_norm < 1.0 - DEAD_BAND:
         return "sub-Poissonian"
     return "Poissonian"

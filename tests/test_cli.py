@@ -186,11 +186,14 @@ class TestSteadySweep:
         assert "residual" in t.meta["convergence"]
         assert "tail_leak" in t.meta["convergence"]
 
-    def test_oracle_column_for_decoupled_runs(self):
-        t = steady_sweep(small_config(), method="direct", twolevel_column=True)
-        assert t.columns == ["n", "p1", "p2", "p1_twolevel"]
-        total = sum(r[3] for r in t.rows)
-        assert total == pytest.approx(1.0, abs=1e-12)
+    def test_empty_mode_is_labelled_vacuum(self):
+        # gamma = 0 leaves mode 2 unfed and at zero temperature
+        t = steady_sweep(small_config(beam=CavityBeam(k_ratio=0.01, kappa_l=20000.0 * math.pi,
+                                                      gamma=0.0), r_over_c=5.0))
+        assert t.meta["moments"]["mean2"] == 0.0
+        assert t.meta["moments"]["var2_norm"] == 0.0
+        assert t.meta["moments"]["label2"] == "vacuum"
+        assert t.meta["moments"]["label1"] == "sub-Poissonian"
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -291,6 +294,7 @@ class TestPresets:
         # solver's residual gate, 96^2 has the needed headroom
         t = run_preset("fig6", grid=(96, 96), method="direct")
         assert t.columns == ["n", "p1", "p2", "p1_twolevel"]
+        assert sum(r[3] for r in t.rows) == pytest.approx(1.0, abs=1e-12)
         assert "unscaled" in t.meta["note"]
 
 
@@ -348,6 +352,19 @@ class TestCommandLine:
         assert rc == 1
         out, err = capsys.readouterr()
         assert message in err and out == ""
+
+    @pytest.mark.parametrize("argv, advice", [
+        (["--method", "rk4", "--r-over-c", "1", "--t-max", "1e300", "--dt", "1e-10"],
+         "raise dt (--dt) or lower t_max (--t-max)"),
+        (["--c1", "1e308"], "or use a smaller grid (--grid)"),
+        (["--c1", "1e308", "--method", "rk4"], "or use a smaller grid (--grid)"),
+    ])
+    def test_overflowing_settings_exit_with_advice(self, capsys, argv, advice):
+        assert main(["steady", "--grid", "8x8", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cascade-mazer: ") and err.endswith(f"{advice}\n")
+        assert err.count("\n") == 1
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -537,6 +554,8 @@ class TestCommandLineFuzz:
     @example(case=(["units", "--g1=1e-300"], None))
     @example(case=(["oracle-twolevel", "--k-ratio=1e308", "--grid=2x2"], None))
     @example(case=(["emission", "--sweep=k-ratio", "--start=-1", "--end=1", "--steps=3"], None))
+    @example(case=(["steady", "--method=rk4", "--grid=8x8", "--r-over-c=1", "--t-max=1e300",
+                    "--dt=1e-10"], None))
     def test_exits_cleanly_with_finite_tables(self, tmp_path_factory, case):
         argv, setting = case
         workdir = tmp_path_factory.mktemp("fuzz")

@@ -284,6 +284,17 @@ class TestValidation:
             with pytest.raises(ValueError, match=r"CavityBeam\(k_ratio=1e\+200.*not finite"):
                 build_gain_table(config(beam=beam, n=4))
 
+    @pytest.mark.parametrize("solve", [direct_steady_state, rk4_steady_state])
+    def test_overflowing_rates_are_named(self, solve):
+        # c1 * n1 overflows at n1 = 2: the outflow is refused before either
+        # solver reads it, with no numpy warning before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the outflow rate of state \(n1, n2\) = "
+                               r"\(2, 0\) overflows double precision; lower c1_over_c.*nb1.*"
+                               r"r_over_c.*smaller grid"):
+                solve(config(n=8, c1_over_c=1e308))
+
     def test_distribution_needs_finite_grid(self):
         with pytest.raises(ValueError):
             JointDistribution(p=np.ones(5))
@@ -596,6 +607,12 @@ class TestRk4SteadyState:
     def test_rejects_nonpositive_settings(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             rk4_steady_state(config(n=8), **{name: value})
+
+    def test_rejects_a_step_count_that_overflows(self):
+        # t_max / dt = inf: counting the steps would raise OverflowError
+        with pytest.raises(ValueError, match=r"t_max / dt = 1e\+300 / 1e-10 overflows the step "
+                           r"count; raise dt \(--dt\) or lower t_max \(--t-max\)$"):
+            rk4_steady_state(config(r=1.0, n=8), dt=1e-10, t_max=1e300)
 
     # unchecked, the zero grid would "converge" at step 0 to mass 0, and the
     # others fail later as a leaking grid or a too-large step

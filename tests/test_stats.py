@@ -44,13 +44,13 @@ def test_marginals_preserve_mass():
     assert p2.sum() == pytest.approx(p.sum(), abs=1e-12)
 
 
-def test_delta_moments_and_zero_mean_flag():
+def test_delta_moments_and_vacuum_label():
     p = np.zeros((5, 5))
     p[3, 0] = 1.0
     m = moments(joint(p))
-    assert m.mean1 == 3.0 and m.var1_norm == 0.0 and not m.zero_mean1
-    # mode 2 sits in vacuum: variance is undefined, flagged instead
-    assert m.mean2 == 0.0 and m.var2_norm == 0.0 and m.zero_mean2
+    assert m.mean1 == 3.0 and m.var1_norm == 0.0 and m.label1 == "sub-Poissonian"
+    # mode 2 sits in vacuum: its variance is undefined, reported as 0.0 and labelled
+    assert m.mean2 == 0.0 and m.var2_norm == 0.0 and m.label2 == "vacuum"
 
 
 def test_poisson_marginal_is_poissonian():
@@ -95,10 +95,6 @@ class TestClassify:
     def test_outside_dead_band(self):
         assert classify(1.002) == "super-Poissonian"
         assert classify(0.998) == "sub-Poissonian"
-
-    def test_custom_dead_band(self):
-        assert classify(1.05, dead_band=0.1) == "Poissonian"
-        assert classify(1.05, dead_band=0.01) == "super-Poissonian"
 
 
 def test_equal_coupling_marginals_nearly_coincide():

@@ -46,6 +46,8 @@ OUTPUTS = (
     ("oracle-twolevel", ("oracle-twolevel", "--grid", "64x64", "--nb", "0.3")),
     ("steady", ("steady", "--grid", "40x30", "--r-over-c", "2", "--nb", "0.2", "--c1", "0.7")),
     ("steady-rk4", ("steady", "--grid", "24x24", "--r-over-c", "1", "--method", "rk4")),
+    # gamma = 0 leaves mode 2 empty
+    ("steady-gamma0", ("steady", "--g-ratio", "0", "--grid", "32x32", "--r-over-c", "5")),
     ("fig3a", ("preset", "fig3a")),
     ("fig3b", ("preset", "fig3b")),
     ("emission-k-ratio", ("emission", "--sweep", "k-ratio", "--start", "0.05", "--end", "3",
