@@ -33,6 +33,7 @@ from .master import (
 from .scattering import (
     CavityBeam,
     ScatterInput,
+    _require_finite,
     _require_positive,
     channel_gains,
     gain_probabilities,  # not called here; the benchmark tracer resolves it
@@ -80,8 +81,12 @@ def _table(command: str, config: dict, columns: list[str], rows: list[list], **m
 def _require_range(start: float, end: float, steps: int) -> None:
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps!r}")
+    _require_finite("start", start)
+    _require_finite("end", end)
     if not start < end:
         raise ValueError(f"need start < end, got {start!r} >= {end!r}")
+    if not math.isfinite(end - start):
+        raise ValueError(f"end - start overflows, from {start!r} to {end!r}; narrow the range")
 
 
 @dataclass(frozen=True)

@@ -57,14 +57,17 @@ def jc_gain(inp: JcInput) -> GainProbabilities:
     p_one = u^2 sin^2(Omega tau) and p_two = 4 u^2 v^2 sin^4(Omega tau / 2),
     with u, v the dressed-doublet and dark-state weights of the initial
     state.  At Omega tau = pi the one-photon channel closes while the pair
-    channel peaks at 4 u^2 v^2.
+    channel peaks at 4 u^2 v^2.  Raises ValueError if Omega tau overflows.
     """
     a, b, omega, _, _ = _dressed(inp.gamma, inp.n1, inp.n2)
+    # Python floats: an infinite Omega makes the phase inf or nan, without a numpy warning
+    phase = float(inp.g1_tau) * float(omega)
+    if not math.isfinite(phase):
+        raise ValueError(f"Omega * g1_tau of {inp} overflows; lower gamma or g1_tau")
     # u^2 = a / Omega^2 and v^2 = b / Omega^2, each rounded once
     omega_sq = a + b
     u_sq = a / omega_sq
     v_sq = b / omega_sq
-    phase = inp.g1_tau * omega
     p_one = u_sq * math.sin(phase) ** 2
     p_two = 4.0 * u_sq * v_sq * math.sin(0.5 * phase) ** 4
     return GainProbabilities(p_one=p_one, p_two=p_two)

@@ -7,10 +7,11 @@ density matrix is tracked, which closes because every gain event moves
 population strictly up the photon ladder.  Time and all rates are measured
 in units of the reference damping constant C.
 
-Truncation policy: gain flows leaving the top of the grid are integrated
-into a tail_leak diagnostic instead of being dropped silently, while the
-thermal up-flow out of the last row/column is suppressed so that a purely
-thermal cavity keeps its exact truncated geometric steady state.
+Truncation policy: gain flows leaving the top of the grid are not dropped
+silently: both solvers report their stationary rate out of the returned
+distribution as tail_leak.  The thermal up-flow out of the last row/column
+is suppressed so that a purely thermal cavity keeps its exact truncated
+geometric steady state.
 
 Each flow moves probability by a fixed offset in the flattened grid, so the
 generator is one DIA matrix, each flow's rates written straight into its own
@@ -60,7 +61,7 @@ __all__ = [
     "twolevel_detailed_balance",
 ]
 
-# Truncation diagnostics: accumulated boundary loss and mass in the
+# Truncation diagnostics: the stationary leak rate and the mass in the
 # _TAIL_SHELLS outermost shells must stay below this or the run is rejected.
 TAIL_TOLERANCE = 1e-6
 _TAIL_SHELLS = 2
@@ -175,9 +176,8 @@ class GainTable:
 class JointDistribution:
     """Joint photon distribution on the truncated grid plus leak diagnostic.
 
-    tail_leak is the probability lost through the gain flows at the top of
-    the grid: accumulated over the integration for the time-stepping solver,
-    the stationary outflow rate for the direct solver.
+    tail_leak is the rate at which the gain flows at the top of the grid
+    carry p out of it, in units of C.
     """
 
     p: np.ndarray
@@ -352,26 +352,23 @@ def apply_generator(
     return (gen.matrix @ p.ravel()).reshape(gen.shape), gen.leak(p)
 
 
-def _require_small_leak(tail_leak: float) -> None:
-    if tail_leak > TAIL_TOLERANCE:
-        raise TruncationError(
-            f"tail leak {tail_leak:.3e} exceeds {TAIL_TOLERANCE:.0e}; "
-            "enlarge the photon grid"
-        )
+def _finalize(gen: _RateGenerator, p: np.ndarray) -> JointDistribution:
+    """A solver's p on the grid as a distribution, with its leak rate as tail_leak.
 
-
-def _clamp_roundoff(p: np.ndarray) -> np.ndarray:
-    """p with its roundoff negatives set to zero; larger negatives raise."""
+    Roundoff negatives are set to zero and larger ones raise; so do a leak
+    rate or a mass in the outermost shells above TAIL_TOLERANCE.
+    """
     if p.min() < -1e-9:
         raise SolverError(
             f"distribution went negative beyond roundoff (min {p.min():.3e})"
         )
-    return np.maximum(p, 0.0)
-
-
-def _finalize(p: np.ndarray, tail_leak: float) -> JointDistribution:
-    """The clamped p as a distribution, once its outermost shells are empty enough."""
-    dist = JointDistribution(p=p, tail_leak=tail_leak)
+    p = np.maximum(p, 0.0)
+    dist = JointDistribution(p=p, tail_leak=gen.leak(p))
+    if dist.tail_leak > TAIL_TOLERANCE:
+        raise TruncationError(
+            f"tail leak {dist.tail_leak:.3e} exceeds {TAIL_TOLERANCE:.0e}; "
+            "enlarge the photon grid"
+        )
     tail = dist.tail_mass()
     if tail > TAIL_TOLERANCE:
         raise TruncationError(
@@ -392,7 +389,6 @@ def _floor_error(residual: float, leak_rate: float, tol: float, when: str) -> Co
 
 def rk4_steady_state(
     cfg: MazerConfig,
-    p0: JointDistribution | None = None,
     *,
     dt: float = _DT,
     t_max: float = _T_MAX,
@@ -401,13 +397,12 @@ def rk4_steady_state(
 ) -> SteadyStateResult:
     """Integrate the rate equation to its steady state with fixed-step RK4.
 
-    Starts from the vacuum unless p0 is given (a distribution with a finite,
-    nonnegative tail_leak) and stops once the 1-norm of dP/dt falls below
+    Starts from the vacuum and stops once the 1-norm of dP/dt falls below
     tol.  The step is rejected up front if dt times the fastest total
-    outflow rate exceeds 2.5.
+    outflow rate exceeds 2.5.  tail_leak is the leak rate of the returned p,
+    as for the direct solve.
 
-    On p' = Ap the classic step is p + hA(p + h/2 A(p + h/3 A(p + h/4 Ap))),
-    and its 1-2-2-1 leak quadrature is h times the leak of the last stage.
+    On p' = Ap the classic step is p + hA(p + h/2 A(p + h/3 A(p + h/4 Ap))).
     """
     for name, value in (("dt", dt), ("t_max", t_max), ("tol", tol)):
         _require_positive(name, value)
@@ -416,13 +411,6 @@ def rk4_steady_state(
                          "raise dt (--dt) or lower t_max (--t-max)")
     # A table built here is freed once the generator holds its rates.
     gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
-    if p0 is None:
-        p0 = JointDistribution.vacuum(cfg.n1_max, cfg.n2_max)
-    if p0.p.shape != gen.shape:
-        raise ValueError(f"p0 shape {p0.p.shape} does not match grid {gen.shape}")
-    if p0.p.min() < 0 or abs(p0.mass() - 1.0) > TAIL_TOLERANCE:
-        raise ValueError(f"p0 is not a distribution: min {p0.p.min():.3e}, mass {p0.mass():.9f}")
-    _require_nonnegative("p0.tail_leak", p0.tail_leak)
 
     rate_scale = gen.max_outflow()
     if dt * rate_scale > 2.5:
@@ -432,20 +420,16 @@ def rk4_steady_state(
         )
 
     mat = gen.matrix
-    p = p0.p.ravel().copy()
+    p = JointDistribution.vacuum(*gen.shape).p.ravel()
     stage = np.empty_like(p)
-    stage_grid = stage.reshape(gen.shape)  # a view, for the leak
-    leak = p0.tail_leak
     steps = int(math.ceil(t_max / dt))
     residual = math.inf
     for step in range(steps):
         k = mat @ p
         residual = float(np.abs(k, out=stage).sum())
         if residual < tol:
-            p = _clamp_roundoff(p.reshape(gen.shape))
-            _require_small_leak(leak)
             return SteadyStateResult(
-                dist=_finalize(p, leak),
+                dist=_finalize(gen, p.reshape(gen.shape)),
                 method="rk4",
                 iterations=step,
                 model_time=step * dt,
@@ -455,7 +439,6 @@ def rk4_steady_state(
             np.multiply(k, dt / divisor, out=stage)
             stage += p
             k = mat @ stage
-        leak += dt * gen.leak(stage_grid)
         k *= dt
         p += k
         if p.min() < -1e-9:
@@ -612,19 +595,17 @@ def direct_steady_state(
         )
     # A table built here is freed once the generator holds its rates.
     gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
-    p = _clamp_roundoff(_pinned_solve(gen))
+    dist = _finalize(gen, _pinned_solve(gen))
     # Rows 1.. of A p vanish and A p sums to -leak(p): the residual is the
     # leak, so only a residual above a small leak means ill-conditioning.
-    leak = gen.leak(p)
-    _require_small_leak(leak)
-    residual = float(np.abs(gen.matrix @ p.ravel()).sum())
+    residual = float(np.abs(gen.matrix @ dist.p.ravel()).sum())
     if residual > 1e-6:
         raise SolverError(
             f"stationary residual |A p| = {residual:.3e}; the generator looks "
             "degenerate or ill-conditioned"
         )
     return SteadyStateResult(
-        dist=_finalize(p, leak),
+        dist=dist,
         method="direct",
         iterations=0,
         model_time=0.0,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 # Why an amplitude or gain came out non-finite, and what to change.
-_OVERFLOW_HINT = "the beam overflows double precision; lower k_ratio or kappa_l"
+_OVERFLOW_HINT = "the beam overflows; bring k_ratio, kappa_l and gamma to a physical scale"
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -299,9 +300,12 @@ def ultracold_approx(gamma: float, n1: int, n2: int) -> GainProbabilities:
     Both dressed branches then reflect with unit modulus and opposite-free
     phase, leaving p_one ~ 0 while the dark-state interference keeps
     p_two = 2 gamma^2 (n1+1)(n2+1) / ((n1+1) + gamma^2 (n2+1))^2 finite.
+    Raises ValueError when that denominator overflows double precision.
     """
     _require_nonnegative("gamma", gamma)
     _require_count("n1", n1)
     _require_count("n2", n2)
     a, b, *_ = _dressed(gamma, n1, n2)
+    if a + b > math.sqrt(sys.float_info.max):  # squared below
+        raise ValueError(f"ultracold_approx: gamma = {gamma!r} overflows; lower gamma")
     return GainProbabilities(p_one=0.0, p_two=2.0 * a * b / (a + b) ** 2)

@@ -37,6 +37,9 @@ from cascade_mazer.scattering import (
     scatter_channels,
 )
 
+# The advice for a beam whose amplitudes overflow.
+_BEAM_SCALE = "bring k_ratio, kappa_l and gamma to a physical scale"
+
 BASE = ScatterInput(k_ratio=0.01, kappa_l=0.0, gamma=2.0, n1=0, n2=0)
 
 
@@ -109,6 +112,10 @@ class TestSweepSpec:
             SweepSpec(param="kappa_l", start=1.0, end=1.0, steps=5, base=BASE)
         with pytest.raises(ValueError):
             SweepSpec(param="kappa_l", start=0.0, end=1.0, steps=1, base=BASE)
+        with pytest.raises(ValueError, match="^end must be finite, got inf$"):
+            SweepSpec(param="kappa_l", start=0.0, end=math.inf, steps=5, base=BASE)
+        with pytest.raises(ValueError, match=r"^end - start overflows, from -1e\+308 to 1e\+308; narrow"):
+            SweepSpec(param="kappa_l", start=-1e308, end=1e308, steps=5, base=BASE)
 
 
 class TestEmissionSweep:
@@ -172,6 +179,8 @@ def test_jc_sweep_shape_and_validation():
     assert len(t.rows) == 9
     with pytest.raises(ValueError):
         jc_sweep(2.0, 0, 0, 1.0, 0.0, 9)
+    with pytest.raises(ValueError, match="^end must be finite, got inf$"):
+        jc_sweep(2.0, 0, 0, 0.0, math.inf, 9)
 
 
 class TestSteadySweep:
@@ -484,8 +493,31 @@ class TestCommandLine:
             rc = main(["oracle-twolevel", "--k-ratio", "1e200", "--grid", "4x4"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "k_ratio=1e+200" in err and "lower k_ratio or kappa_l" in err
+        assert "k_ratio=1e+200" in err and _BEAM_SCALE in err
         assert "r_over_c" not in err
+
+    @pytest.mark.parametrize("argv, named, advice", [
+        (["emission", "--start", "1", "--end", "1e400", "--steps", "3"],
+         "end must be finite, got inf", ""),
+        (["jc", "--steps", "3", "--end", "inf"], "end must be finite, got inf", ""),
+        (["jc", "--g-ratio", "1e160", "--steps", "3"], "gamma=1e+160", "lower gamma or g1_tau"),
+        (["emission", "--g-ratio", "1e160", "--k-ratio", "1", "--start", "0", "--end", "1",
+          "--steps", "3"], "gamma=1e+160", _BEAM_SCALE),
+        (["steady", "--g-ratio", "1e160", "--grid", "8x8", "--r-over-c", "0.1"], "gamma=1e+160",
+         _BEAM_SCALE),
+        # lowering a subnormal k_ratio makes it worse
+        (["emission", "--k-ratio", "1e-310", "--start", "0", "--end", "1", "--steps", "3"],
+         "k_ratio=1e-310", _BEAM_SCALE),
+    ])
+    def test_overflowing_inputs_are_named_in_one_line(self, capsys, argv, named, advice):
+        # each of these printed a numpy warning, blamed nan or gave the wrong advice
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cascade-mazer: ") and err.count("\n") == 1
+        assert named in err and err.endswith(f"{advice}\n") and "nan" not in err
 
     def test_oracle_takes_no_solver_flags(self):
         with pytest.raises(SystemExit) as exc:
@@ -545,8 +577,7 @@ def _cli_argv(draw):
 
 
 class TestCommandLineFuzz:
-    # overflowing inputs warn inside numpy before the table check refuses them
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=_cli_argv())
     @example(case=(["units", "--kappa-l=inf"], None))
@@ -556,6 +587,8 @@ class TestCommandLineFuzz:
     @example(case=(["emission", "--sweep=k-ratio", "--start=-1", "--end=1", "--steps=3"], None))
     @example(case=(["steady", "--method=rk4", "--grid=8x8", "--r-over-c=1", "--t-max=1e300",
                     "--dt=1e-10"], None))
+    @example(case=(["emission", "--start=1", "--end=inf", "--steps=3"], None))
+    @example(case=(["jc", "--g-ratio=1e160", "--steps=3"], None))
     def test_exits_cleanly_with_finite_tables(self, tmp_path_factory, case):
         argv, setting = case
         workdir = tmp_path_factory.mktemp("fuzz")

@@ -1,6 +1,7 @@
 """Timed-transit (classical center-of-mass) emission probabilities."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,19 @@ class TestValidation:
     def test_transit_mapping_needs_finite_momentum(self, k_ratio):
         with pytest.raises(ValueError, match="k_ratio must be"):
             g1_tau_from_beam(10.0, k_ratio)
+
+    @pytest.mark.parametrize("inp", [
+        # gamma^2 is inf, and so is Omega: the gains came out nan
+        JcInput(1e160, 0, 0, 0.0),
+        # Omega tau is inf, where math.sin raised "math domain error"
+        JcInput(2.0, 0, 0, 1e308),
+    ])
+    def test_overflow_is_named_without_numpy_warnings(self, inp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                jc_gain(inp)
+        assert str(err.value) == f"Omega * g1_tau of {inp} overflows; lower gamma or g1_tau"
 
 
 def test_transit_time_mapping():

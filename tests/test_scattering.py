@@ -135,6 +135,9 @@ class TestValidation:
         [
             (scatter_channels, ScatterInput(1e308, 1.0, 2.0, 0, 0)),
             (branch_amplitudes, ScatterInput(1e200, 10.0, 2.0, 0, 0)),
+            # gamma^2 overflows, and a subnormal k_ratio whose 1/k overflows
+            (scatter_channels, ScatterInput(1.0, 0.0, 1e160, 0, 0)),
+            (scatter_channels, ScatterInput(1e-310, 0.0, 2.0, 0, 0)),
         ],
     )
     def test_overflowing_beam_fails_loudly_and_quietly(self, api, inp):
@@ -146,7 +149,7 @@ class TestValidation:
                 api(inp)
         assert str(err.value).startswith(f"amplitudes of {inp} are not finite")
         assert str(err.value).endswith(
-            "the beam overflows double precision; lower k_ratio or kappa_l"
+            "the beam overflows; bring k_ratio, kappa_l and gamma to a physical scale"
         )
 
     def test_with_photons_builds_scatter_input(self):
@@ -421,6 +424,16 @@ class TestUltracoldApprox:
     def test_equal_weights_give_half(self):
         for n in range(6):
             assert ultracold_approx(1.0, n, n).p_two == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [1e100, 1e160])
+    def test_overflowing_coupling_fails_loudly_and_quietly(self, gamma):
+        # ((n1+1) + gamma^2 (n2+1))^2 overflows: at 1e100 Python's pow raised
+        # OverflowError, and at 1e160, where gamma^2 is inf, p_two was nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                ultracold_approx(gamma, 0, 0)
+        assert str(err.value) == f"ultracold_approx: gamma = {gamma!r} overflows; lower gamma"
 
     def test_vanishes_without_lower_coupling(self):
         assert ultracold_approx(0.0, 4, 9).p_two == 0.0

@@ -8,14 +8,16 @@ Each side writes the same fixed list of tables with `python -m
 cascade_mazer.cli ... --out FILE`, on its own `src/`: the parent from a fresh
 `git archive` of REV, the change from the working tree as it stands.  Every
 output is reported as `identical`, or with the largest absolute and relative
-difference of its table cells and of the numbers in its metadata line.  The
-exit status is 1 when any text other than a number differs, or when a
-command fails on either side.
+difference of its table cells and of the numbers in its metadata, which is
+read as JSON, together with the key path of the metadata number that moved
+most, relative to its size.  The exit status is 1 when any text other than a
+number differs, or when a command fails on either side.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -90,18 +92,67 @@ def largest_difference(old: str, new: str) -> tuple[float, float] | None:
     return absolute, relative
 
 
+def split_table(text: str) -> tuple[dict, str]:
+    """The metadata of a table as parsed JSON, and the text of its header and cells.
+
+    A CSV table holds its metadata in a `# ` first line; a JSON table in its
+    `meta` object, the rest of which is re-rendered as the cells' text.
+    """
+    if text.startswith("# "):
+        meta, _, cells = text.partition("\n")
+        return json.loads(meta[2:]), cells
+    payload = json.loads(text)
+    return payload.pop("meta"), json.dumps(payload, sort_keys=True, indent=2)
+
+
+def leaves(value, path: str = ""):
+    """(key path, value) of each scalar in parsed JSON, e.g. convergence.tail_leak."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from leaves(item, f"{path}[{index}]")
+    else:
+        yield path, value
+
+
+def metadata_difference(old: dict, new: dict) -> tuple[float, float, str | None] | None:
+    """Largest absolute and relative difference of the numbers in two metadata
+    blocks, and the key path of the largest relative one (None if none moved).
+
+    None when the blocks differ anywhere but in their numbers.
+    """
+    old, new = dict(leaves(old)), dict(leaves(new))
+    if old.keys() != new.keys():
+        return None
+    absolute, relative, moved = 0.0, 0.0, None
+    for path, a in old.items():
+        b = new[path]
+        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+        if not numbers:
+            if a != b:
+                return None
+            continue
+        if a != b:
+            absolute = max(absolute, abs(a - b))
+            if abs(a - b) / max(abs(a), abs(b)) > relative:
+                relative, moved = abs(a - b) / max(abs(a), abs(b)), path
+    return absolute, relative, moved
+
+
 def report(old: str, new: str) -> str | None:
     """One line saying how two outputs differ; None when text other than numbers does."""
     if old == new:
         return "identical"
-    # a CSV table: the metadata comment, the header, then the cells; in a JSON
-    # table, all but the opening brace count as cells
-    (old_meta, _, old_cells), (new_meta, _, new_cells) = old.partition("\n"), new.partition("\n")
-    meta, cells = largest_difference(old_meta, new_meta), largest_difference(old_cells, new_cells)
+    (old_meta, old_cells), (new_meta, new_cells) = split_table(old), split_table(new)
+    meta, cells = metadata_difference(old_meta, new_meta), largest_difference(old_cells, new_cells)
     if meta is None or cells is None:
         return None
-    return ("cells max abs {:.3g}, max rel {:.3g}; metadata max abs {:.3g}, max rel {:.3g}"
-            .format(*cells, *meta))
+    absolute, relative, moved = meta
+    line = (f"cells max abs {cells[0]:.3g}, max rel {cells[1]:.3g}; "
+            f"metadata max abs {absolute:.3g}, max rel {relative:.3g}")
+    return line if moved is None else f"{line} ({moved})"
 
 
 def main() -> int:
