@@ -114,7 +114,8 @@ class TestSweepSpec:
             SweepSpec(param="kappa_l", start=0.0, end=1.0, steps=1, base=BASE)
         with pytest.raises(ValueError, match="^end must be finite, got inf$"):
             SweepSpec(param="kappa_l", start=0.0, end=math.inf, steps=5, base=BASE)
-        with pytest.raises(ValueError, match=r"^end - start overflows, from -1e\+308 to 1e\+308; narrow"):
+        with pytest.raises(ValueError,
+                           match=r"^end - start overflows, from -1e\+308 to 1e\+308; narrow"):
             SweepSpec(param="kappa_l", start=-1e308, end=1e308, steps=5, base=BASE)
 
 
