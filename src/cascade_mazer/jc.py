@@ -45,10 +45,16 @@ def g1_tau_from_beam(kappa_l: float, k_ratio: float) -> float:
     """Interaction time g1*tau of a fast atom crossing the cavity.
 
     See the module docstring for the derivation; valid when the kinetic
-    energy is far above the coupling, i.e. (k/kappa)^2 >> Omega/g1.
+    energy is far above the coupling, i.e. (k/kappa)^2 >> Omega/g1.  Raises
+    ValueError if g1*tau overflows.
     """
     _require_positive("k_ratio", k_ratio)
-    return kappa_l / (2.0 * k_ratio)
+    _require_nonnegative("kappa_l", kappa_l)
+    g1_tau = kappa_l / (2.0 * k_ratio)
+    if not math.isfinite(g1_tau):
+        raise ValueError(f"g1_tau = kappa_l / (2 k_ratio) overflows at kappa_l={kappa_l!r}, "
+                         f"k_ratio={k_ratio!r}; raise k_ratio or lower kappa_l")
+    return g1_tau
 
 
 def jc_gain(inp: JcInput) -> GainProbabilities:

@@ -56,11 +56,18 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
+# The largest count that converts to a float; compared as an int, since a larger
+# count raises OverflowError where it meets a float.
+_LARGEST_COUNT = int(sys.float_info.max)
+
+
 def _require_count(name: str, value, minimum: int = 0) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if value > _LARGEST_COUNT:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.4g}, the largest float")
 
 
 @dataclass(frozen=True)

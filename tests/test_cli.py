@@ -39,6 +39,9 @@ from cascade_mazer.scattering import (
 
 # The advice for a beam whose amplitudes overflow.
 _BEAM_SCALE = "bring k_ratio, kappa_l and gamma to a physical scale"
+# The advice for a beam whose transit time overflows, and the bound of a photon count.
+_G1_TAU = "raise k_ratio or lower kappa_l"
+_LARGEST_FLOAT = "1.798e+308, the largest float"
 
 BASE = ScatterInput(k_ratio=0.01, kappa_l=0.0, gamma=2.0, n1=0, n2=0)
 
@@ -509,6 +512,18 @@ class TestCommandLine:
         # lowering a subnormal k_ratio makes it worse
         (["emission", "--k-ratio", "1e-310", "--start", "0", "--end", "1", "--steps", "3"],
          "k_ratio=1e-310", _BEAM_SCALE),
+        # g1_tau, which emission has no flag for, was named
+        (["emission", "--k-ratio", "1e-300", "--start", "1e10", "--end", "1e12", "--steps", "3"],
+         "kappa_l=10000000000.0, k_ratio=1e-300", _G1_TAU),
+        (["emission", "--sweep", "k-ratio", "--start", "1e-300", "--end", "1e-299", "--steps", "3",
+          "--kappa-l", "1e10"], "kappa_l=10000000000.0, k_ratio=1e-300", _G1_TAU),
+        # counts beyond the largest float: a traceback from n1 + 1.0, or numpy's own message
+        (["jc", "--n1", str(10**400), "--steps", "3"], "n1 must be at most", _LARGEST_FLOAT),
+        (["emission", "--start", "0", "--end", "1", "--steps", "3", "--n2", str(10**400)],
+         "n2 must be at most", _LARGEST_FLOAT),
+        (["oracle-twolevel", "--grid", f"4x{10**400}"], "n2_max must be at most", _LARGEST_FLOAT),
+        (["steady", "--method", "rk4", "--grid", f"{10**400}x4"], "n1_max must be at most",
+         _LARGEST_FLOAT),
     ])
     def test_overflowing_inputs_are_named_in_one_line(self, capsys, argv, named, advice):
         # each of these printed a numpy warning, blamed nan or gave the wrong advice
@@ -590,6 +605,11 @@ class TestCommandLineFuzz:
                     "--dt=1e-10"], None))
     @example(case=(["emission", "--start=1", "--end=inf", "--steps=3"], None))
     @example(case=(["jc", "--g-ratio=1e160", "--steps=3"], None))
+    @example(case=(["jc", f"--n1={10**400}", "--steps=3"], None))
+    @example(case=(["emission", "--k-ratio=1e-300", "--start=1e10", "--end=1e12", "--steps=3"],
+                   None))
+    @example(case=(["emission", "--sweep=k-ratio", "--start=1e-300", "--end=1e-299", "--steps=3",
+                    "--kappa-l=1e10"], None))
     def test_exits_cleanly_with_finite_tables(self, tmp_path_factory, case):
         argv, setting = case
         workdir = tmp_path_factory.mktemp("fuzz")

@@ -30,6 +30,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="k_ratio must be"):
             g1_tau_from_beam(10.0, k_ratio)
 
+    @pytest.mark.parametrize("kappa_l", [-1.0, math.inf, math.nan])
+    def test_transit_mapping_needs_finite_length(self, kappa_l):
+        with pytest.raises(ValueError, match="kappa_l must be"):
+            g1_tau_from_beam(kappa_l, 1.0)
+
+    def test_transit_mapping_names_the_beam_when_it_overflows(self):
+        # JcInput refused the inf as g1_tau, an input the emission command lacks
+        with pytest.raises(ValueError) as err:
+            g1_tau_from_beam(1e10, 1e-300)
+        assert str(err.value) == ("g1_tau = kappa_l / (2 k_ratio) overflows at "
+                                  "kappa_l=10000000000.0, k_ratio=1e-300; "
+                                  "raise k_ratio or lower kappa_l")
+
     @pytest.mark.parametrize("inp", [
         # gamma^2 is inf, and so is Omega: the gains came out nan
         JcInput(1e160, 0, 0, 0.0),

@@ -7,6 +7,7 @@ expressions: it matches plane waves at the two cavity faces by solving the
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import astuple
 
@@ -123,6 +124,14 @@ class TestValidation:
             ScatterInput(k_ratio=1.0, kappa_l=1.0, gamma=1.0, n1=-1, n2=0)
         with pytest.raises(ValueError):
             ScatterInput(k_ratio=1.0, kappa_l=1.0, gamma=1.0, n1=0.5, n2=0)
+
+    def test_rejects_counts_beyond_floats(self):
+        # a larger int made n1 + 1.0 raise OverflowError
+        largest = int(sys.float_info.max)
+        assert ScatterInput(1.0, 1.0, 1.0, n1=largest, n2=np.iinfo(np.int64).max).n1 == largest
+        with pytest.raises(ValueError) as err:
+            ScatterInput(1.0, 1.0, 1.0, n1=0, n2=largest + 1)
+        assert str(err.value) == "n2 must be at most 1.798e+308, the largest float"
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

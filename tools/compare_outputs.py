@@ -6,20 +6,20 @@ Run from the root of a checkout:
 
 Each side writes the same fixed list of tables with `python -m
 cascade_mazer.cli ... --out FILE`, on its own `src/`: the parent from a fresh
-`git archive` of REV, the change from the working tree as it stands.  Every
-output is reported as `identical`, or with the largest absolute and relative
-difference of its table cells and of the numbers in its metadata, which is
-read as JSON, together with the key path of the metadata number that moved
-most, relative to its size.  The exit status is 1 when any text other than a
-number differs, or when a command fails on either side.
+`git archive` of REV, the change from the working tree as it stands.  Both
+sides are read with `cascade_mazer.cli.parse_table`, in CSV and in JSON.
+Every output is reported as `identical`, or with the largest absolute and
+relative difference of its table cells and of the numbers in its metadata,
+each with the place of the number that moved most, relative to its size: a
+cell as `column[row]`, a metadata number by its key path.  The exit status is
+1 when a table does not parse, when its columns or any text other than a
+number differ, or when a command fails on either side.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -28,6 +28,9 @@ from pathlib import Path
 from bench_pairs import checkout
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from cascade_mazer.cli import Table, parse_table  # noqa: E402
 
 # Stands for the config file that the run writes for the --config output.
 CONFIG = "CONFIG_FILE"
@@ -59,9 +62,6 @@ OUTPUTS = (
     ("steady-config", ("steady", "--config", CONFIG, "--r-over-c", "2")),
 )
 
-# A number that is not part of a name such as p1 or n1_max.
-NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
-
 
 def write_outputs(root: Path, outdir: Path, config: Path) -> dict[str, str | None]:
     """Each output's text; None, with the error printed, where the command failed."""
@@ -79,80 +79,53 @@ def write_outputs(root: Path, outdir: Path, config: Path) -> dict[str, str | Non
     return texts
 
 
-def largest_difference(old: str, new: str) -> tuple[float, float] | None:
-    """Largest absolute and relative difference of the numbers in two texts.
+def difference(old, new, path: str = "") -> tuple[float, float, str | None] | None:
+    """Largest absolute and relative difference of the numbers in two parsed
+    JSON values, and the key path of the largest relative one (None if none
+    moved), e.g. convergence.tail_leak or p1[12].
 
-    None when the texts differ anywhere but in their numbers.
+    None when the values differ anywhere but in their numbers; keys and their
+    order count.
     """
-    if NUMBER.split(old) != NUMBER.split(new):
-        return None
-    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))]
-    absolute = max((abs(a - b) for a, b in pairs), default=0.0)
-    relative = max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b), default=0.0)
-    return absolute, relative
-
-
-def split_table(text: str) -> tuple[dict, str]:
-    """The metadata of a table as parsed JSON, and the text of its header and cells.
-
-    A CSV table holds its metadata in a `# ` first line; a JSON table in its
-    `meta` object, the rest of which is re-rendered as the cells' text.
-    """
-    if text.startswith("# "):
-        meta, _, cells = text.partition("\n")
-        return json.loads(meta[2:]), cells
-    payload = json.loads(text)
-    return payload.pop("meta"), json.dumps(payload, sort_keys=True, indent=2)
-
-
-def leaves(value, path: str = ""):
-    """(key path, value) of each scalar in parsed JSON, e.g. convergence.tail_leak."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from leaves(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            yield from leaves(item, f"{path}[{index}]")
+    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
+        parts = [difference(old[key], new[key], f"{path}.{key}" if path else key) for key in old]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        parts = [difference(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)):
+        if old == new:
+            return 0.0, 0.0, None
+        return abs(old - new), abs(old - new) / max(abs(old), abs(new)), path
     else:
-        yield path, value
-
-
-def metadata_difference(old: dict, new: dict) -> tuple[float, float, str | None] | None:
-    """Largest absolute and relative difference of the numbers in two metadata
-    blocks, and the key path of the largest relative one (None if none moved).
-
-    None when the blocks differ anywhere but in their numbers.
-    """
-    old, new = dict(leaves(old)), dict(leaves(new))
-    if old.keys() != new.keys():
+        return (0.0, 0.0, None) if old == new else None
+    if None in parts:
         return None
-    absolute, relative, moved = 0.0, 0.0, None
-    for path, a in old.items():
-        b = new[path]
-        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
-        if not numbers:
-            if a != b:
-                return None
-            continue
-        if a != b:
-            absolute = max(absolute, abs(a - b))
-            if abs(a - b) / max(abs(a), abs(b)) > relative:
-                relative, moved = abs(a - b) / max(abs(a), abs(b)), path
-    return absolute, relative, moved
+    _, relative, moved = max(parts, key=lambda part: part[1], default=(0.0, 0.0, None))
+    return max((part[0] for part in parts), default=0.0), relative, moved
+
+
+def cells(table: Table) -> dict[str, list]:
+    """A table's cells keyed by column, so that p1[12] is row 12 of column p1."""
+    if any(len(row) != len(table.columns) for row in table.rows):
+        raise ValueError("a row and the header differ in length")
+    return {column: [row[i] for row in table.rows] for i, column in enumerate(table.columns)}
 
 
 def report(old: str, new: str) -> str | None:
-    """One line saying how two outputs differ; None when text other than numbers does."""
+    """One line saying how two outputs differ; None when a table does not
+    parse, or when its columns or any text other than a number differ."""
     if old == new:
         return "identical"
-    (old_meta, old_cells), (new_meta, new_cells) = split_table(old), split_table(new)
-    meta, cells = metadata_difference(old_meta, new_meta), largest_difference(old_cells, new_cells)
-    if meta is None or cells is None:
+    try:
+        old, new = parse_table(old), parse_table(new)
+        parts = {"cells": difference(cells(old), cells(new)),
+                 "metadata": difference(old.meta, new.meta)}
+    except (ValueError, LookupError, TypeError):
         return None
-    absolute, relative, moved = meta
-    line = (f"cells max abs {cells[0]:.3g}, max rel {cells[1]:.3g}; "
-            f"metadata max abs {absolute:.3g}, max rel {relative:.3g}")
-    return line if moved is None else f"{line} ({moved})"
+    if None in parts.values():
+        return None
+    return "; ".join(f"{part} max abs {absolute:.3g}, max rel {relative:.3g}"
+                     + ("" if moved is None else f" ({moved})")
+                     for part, (absolute, relative, moved) in parts.items())
 
 
 def main() -> int:
