@@ -56,8 +56,7 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
-# The largest count that converts to a float; compared as an int, since a larger
-# count raises OverflowError where it meets a float.
+# Compared as an int: a larger count raises OverflowError where it meets a float.
 _LARGEST_COUNT = int(sys.float_info.max)
 
 
