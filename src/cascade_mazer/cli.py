@@ -15,9 +15,8 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from . import _numpy as np
 from .jc import JcInput, g1_tau_from_beam, jc_gain
 from .master import (
     _DT,
@@ -570,6 +569,11 @@ def main(argv=None) -> int:
         _write(_COMMANDS[args.command](args), args.out, args.format)
     except (SolverError, ValueError, OSError) as exc:
         print(f"cascade-mazer: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        size = "--grid" if "grid" in vars(args) else "--steps"
+        print(f"cascade-mazer: {str(exc) or 'out of memory'}; use a smaller {size}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -35,8 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import _numpy as np
 from .scattering import (
     CavityBeam, _OVERFLOW_HINT, _gain_arrays, _require_count, _require_nonnegative,
     _require_positive,
@@ -257,78 +256,78 @@ class _RateGenerator:
     precision are refused: every rate is part of some state's outflow.
     """
 
-    # an overflowing rate is refused below, by name, in place of numpy's warning
-    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, cfg: MazerConfig, gains: GainTable):
         import scipy.sparse as sp
 
-        n1_max, n2_max = cfg.n1_max, cfg.n2_max
-        if gains.g_b1.shape != (n1_max, n2_max):
-            raise ValueError(
-                f"gain table shape {gains.g_b1.shape} does not match grid "
-                f"({n1_max}, {n2_max})"
+        # an overflowing rate is refused below, by name, in place of numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            n1_max, n2_max = cfg.n1_max, cfg.n2_max
+            if gains.g_b1.shape != (n1_max, n2_max):
+                raise ValueError(
+                    f"gain table shape {gains.g_b1.shape} does not match grid "
+                    f"({n1_max}, {n2_max})"
+                )
+            self.shape = (n1_max, n2_max)
+            n1 = np.arange(n1_max, dtype=float)[:, None]
+            n2 = np.arange(n2_max, dtype=float)[None, :]
+            c1, c2 = cfg.c1_over_c, cfg.c2_over_c
+            g_b1, g_b2 = gains.g_b1, gains.g_b2
+
+            down1 = c1 * (cfg.nb1 + 1.0) * n1
+            down2 = c2 * (cfg.nb2 + 1.0) * n2
+            # Thermal up-flow out of the last row/column is suppressed so the
+            # truncated thermal chain keeps detailed balance exactly.
+            up1_w = cfg.nb1 * c1 * (n1 + 1.0)
+            up1_w[-1, :] = 0.0
+            up2_w = cfg.nb2 * c2 * (n2 + 1.0)
+            up2_w[:, -1] = 0.0
+
+            # One diagonal per flow that is on: offset = source - destination,
+            # ascending, holding the rate at each source.  Flows out of the top
+            # row fall off the matrix; rates that would wrap across a row are
+            # zero, so the pair gain is on only if it is left of the last column.
+            # The outflow and both down-flows are always on: c1, c2 > 0.
+            pair_on = bool(g_b2[:, :-1].any())
+            up1_on = bool(g_b1.any() or up1_w.any())
+            up2_on = bool(up2_w.any())
+            offsets = [offset for offset, on in (
+                (-(n2_max + 1), pair_on), (-n2_max, up1_on), (-1, up2_on),
+                (0, True), (1, True), (n2_max, True),
+            ) if on]
+            # Each rate is written straight into its own row of the DIA data.
+            data = np.empty((len(offsets), n1_max, n2_max))
+            rows = iter(data)
+            if pair_on:
+                pair = next(rows)
+                pair[...] = g_b2
+                pair[:, -1] = 0.0
+            if up1_on:
+                np.add(g_b1, up1_w, out=next(rows))
+            if up2_on:
+                next(rows)[...] = up2_w
+            outflow = next(rows)
+            np.add(g_b1, g_b2, out=outflow)
+            for rate in (down1, down2, up1_w, up2_w):
+                outflow += rate
+            if not np.all(np.isfinite(outflow)):
+                n1, n2 = np.argwhere(~np.isfinite(outflow))[0]
+                raise ValueError(
+                    f"the outflow rate of state (n1, n2) = ({n1}, {n2}) overflows double "
+                    "precision; lower c1_over_c, c2_over_c (--c1, --c2), nb1, nb2 (--nb) or "
+                    "r_over_c (--r-over-c), or use a smaller grid (--grid)"
+                )
+            np.negative(outflow, out=outflow)
+            next(rows)[...] = down2
+            next(rows)[...] = down1
+            self.matrix = sp.dia_matrix(
+                (data.reshape(len(offsets), -1), offsets), shape=(n1_max * n2_max,) * 2
             )
-        self.shape = (n1_max, n2_max)
-        n1 = np.arange(n1_max, dtype=float)[:, None]
-        n2 = np.arange(n2_max, dtype=float)[None, :]
-        c1, c2 = cfg.c1_over_c, cfg.c2_over_c
-        g_b1, g_b2 = gains.g_b1, gains.g_b2
 
-        down1 = c1 * (cfg.nb1 + 1.0) * n1
-        down2 = c2 * (cfg.nb2 + 1.0) * n2
-        # Thermal up-flow out of the last row/column is suppressed so the
-        # truncated thermal chain keeps detailed balance exactly.
-        up1_w = cfg.nb1 * c1 * (n1 + 1.0)
-        up1_w[-1, :] = 0.0
-        up2_w = cfg.nb2 * c2 * (n2 + 1.0)
-        up2_w[:, -1] = 0.0
-
-        # One diagonal per flow that is on: offset = source - destination,
-        # ascending, holding the rate at each source.  Flows out of the top
-        # row fall off the matrix; rates that would wrap across a row are
-        # zero, so the pair gain is on only if it is left of the last column.
-        # The outflow and both down-flows are always on: c1, c2 > 0.
-        pair_on = bool(g_b2[:, :-1].any())
-        up1_on = bool(g_b1.any() or up1_w.any())
-        up2_on = bool(up2_w.any())
-        offsets = [offset for offset, on in (
-            (-(n2_max + 1), pair_on), (-n2_max, up1_on), (-1, up2_on),
-            (0, True), (1, True), (n2_max, True),
-        ) if on]
-        # Each rate is written straight into its own row of the DIA data.
-        data = np.empty((len(offsets), n1_max, n2_max))
-        rows = iter(data)
-        if pair_on:
-            pair = next(rows)
-            pair[...] = g_b2
-            pair[:, -1] = 0.0
-        if up1_on:
-            np.add(g_b1, up1_w, out=next(rows))
-        if up2_on:
-            next(rows)[...] = up2_w
-        outflow = next(rows)
-        np.add(g_b1, g_b2, out=outflow)
-        for rate in (down1, down2, up1_w, up2_w):
-            outflow += rate
-        if not np.all(np.isfinite(outflow)):
-            n1, n2 = np.argwhere(~np.isfinite(outflow))[0]
-            raise ValueError(
-                f"the outflow rate of state (n1, n2) = ({n1}, {n2}) overflows double "
-                "precision; lower c1_over_c, c2_over_c (--c1, --c2), nb1, nb2 (--nb) or "
-                "r_over_c (--r-over-c), or use a smaller grid (--grid)"
-            )
-        np.negative(outflow, out=outflow)
-        next(rows)[...] = down2
-        next(rows)[...] = down1
-        self.matrix = sp.dia_matrix(
-            (data.reshape(len(offsets), -1), offsets), shape=(n1_max * n2_max,) * 2
-        )
-
-        # Gain flows with no in-grid destination: last row (both gains) and
-        # last column below it (pair gain only), copied so that the
-        # generator keeps no reference to the gain table.
-        self._edge_top = g_b1[-1, :] + g_b2[-1, :]
-        self._edge_right = g_b2[:-1, -1].copy()
+            # Gain flows with no in-grid destination: last row (both gains) and
+            # last column below it (pair gain only), copied so that the
+            # generator keeps no reference to the gain table.
+            self._edge_top = g_b1[-1, :] + g_b2[-1, :]
+            self._edge_right = g_b2[:-1, -1].copy()
 
     def max_outflow(self) -> float:
         return float(-self.matrix.diagonal().min())
@@ -640,9 +639,15 @@ def twolevel_detailed_balance(cfg: MazerConfig) -> tuple[np.ndarray, np.ndarray]
     p1[0] = 1.0
     c1 = cfg.c1_over_c
     for n in range(1, cfg.n1_max):
-        up = c1 * cfg.nb1 * n + g_b1[n - 1]
+        # Python floats: an overflow gives inf, refused by name, not a numpy warning
+        up = c1 * cfg.nb1 * n + float(g_b1[n - 1])
         down = c1 * (cfg.nb1 + 1.0) * n
-        p1[n] = p1[n - 1] * up / down
+        if not (math.isfinite(up) and math.isfinite(down)):
+            raise ValueError(
+                f"the detailed-balance rates at n1 = {n} overflow double precision; "
+                "lower nb1 (--nb) or c1_over_c (--c1), or use a smaller grid (--grid)"
+            )
+        p1[n] = float(p1[n - 1]) * up / down
         if p1[n] > _RESCALE_ABOVE:
             # Scale by an exact power of two, so the normalized result keeps
             # its bits; entries far below the peak may underflow to zero.
@@ -650,7 +655,7 @@ def twolevel_detailed_balance(cfg: MazerConfig) -> tuple[np.ndarray, np.ndarray]
     if not np.isfinite(p1.sum()):
         raise ValueError(
             "the detailed-balance ratio P(n)/P(n-1) overflows double "
-            "precision; raise c1_over_c or lower r_over_c"
+            "precision; raise c1_over_c (--c1) or lower r_over_c (--r-over-c)"
         )
     p1 /= p1.sum()
 

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+from . import _numpy as np
 
 __all__ = [
     "CavityBeam",

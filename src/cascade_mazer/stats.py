@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .master import JointDistribution
 
 __all__ = ["MomentSummary", "marginals", "moments", "classify"]

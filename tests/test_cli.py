@@ -524,6 +524,13 @@ class TestCommandLine:
         (["oracle-twolevel", "--grid", f"4x{10**400}"], "n2_max must be at most", _LARGEST_FLOAT),
         (["steady", "--method", "rk4", "--grid", f"{10**400}x4"], "n1_max must be at most",
          _LARGEST_FLOAT),
+        # the detailed-balance recursion divided np.float64 rates: an inf/inf warning that
+        # blamed c1_over_c, or an overflow warning before the error
+        (["oracle-twolevel", "--grid", "4x4", "--nb", "1e308"],
+         "detailed-balance rates at n1 = 2 overflow",
+         "lower nb1 (--nb) or c1_over_c (--c1), or use a smaller grid (--grid)"),
+        (["oracle-twolevel", "--grid", "2x2", "--c1", "1e-308"], "P(n)/P(n-1) overflows",
+         "raise c1_over_c (--c1) or lower r_over_c (--r-over-c)"),
     ])
     def test_overflowing_inputs_are_named_in_one_line(self, capsys, argv, named, advice):
         # each of these printed a numpy warning, blamed nan or gave the wrong advice
@@ -534,6 +541,22 @@ class TestCommandLine:
         assert out == ""
         assert err.startswith("cascade-mazer: ") and err.count("\n") == 1
         assert named in err and err.endswith(f"{advice}\n") and "nan" not in err
+
+    # Each size is beyond the 47-bit address space, so nothing is allocated.
+    @pytest.mark.parametrize("argv, size", [
+        (["steady", "--method", "rk4", "--grid", "1000000000000000x4"], "--grid"),
+        (["oracle-twolevel", "--grid", "1000000000000000x4"], "--grid"),
+        (["emission", "--start", "0", "--end", "1", "--steps", "100000000000000000"], "--steps"),
+        (["jc", "--steps", "100000000000000000"], "--steps"),
+    ])
+    def test_sizes_beyond_memory_are_named_in_one_line(self, capsys, argv, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cascade-mazer: Unable to allocate") and err.count("\n") == 1
+        assert err.endswith(f"; use a smaller {size}\n")
 
     def test_oracle_takes_no_solver_flags(self):
         with pytest.raises(SystemExit) as exc:

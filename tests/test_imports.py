@@ -1,4 +1,9 @@
-"""What a fresh interpreter imports: scipy only for the steady-state solvers."""
+"""What a fresh interpreter imports.
+
+numpy loads at the first numerical call: until then the package holds a lazy
+module, so --version, --help, argument errors and units start without it.
+scipy loads only for the steady-state solvers.
+"""
 
 import ast
 import json
@@ -6,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,6 +65,90 @@ def test_steady_solve_loads_the_sparse_solver(tmp_path):
     assert seen["codes"] == [0]
     assert "scipy.sparse" in seen["scipy"]
     assert "scipy.sparse.linalg" in seen["scipy"]
+
+
+# Runs one command as `python -m cascade_mazer.cli` would and prints its exit
+# code and the numpy modules loaded by then.
+_RUN_MODULE = """
+import json, runpy, sys
+sys.argv = ["cascade-mazer", *{argv!r}]
+try:
+    runpy.run_module("cascade_mazer.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print()
+print(json.dumps({{"code": code,
+                  "numpy": sorted(m for m in sys.modules if m.startswith("numpy."))}}))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["steady", "--frobnicate"], 2),
+    (["units"], 0),
+])
+def test_commands_that_compute_nothing_never_load_numpy(tmp_path, argv, code):
+    seen = fresh(_RUN_MODULE.format(argv=argv), tmp_path)
+    assert seen == {"code": code, "numpy": []}
+
+
+def test_numpy_imported_first_is_the_packages_numpy(tmp_path):
+    code = """
+import json
+import numpy
+import cascade_mazer.cli, cascade_mazer.master, cascade_mazer.scattering, cascade_mazer.stats
+
+print(json.dumps([module.np is numpy for module in (
+    cascade_mazer.cli, cascade_mazer.master, cascade_mazer.scattering, cascade_mazer.stats)]))
+"""
+    assert fresh(code, tmp_path) == [True] * 4
+
+
+# Writes one table through main, importing numpy first or not, and prints
+# which numpy modules were loaded just before the command ran.
+_WRITE_TABLE = """
+import json, sys
+{first}
+import cascade_mazer.cli as cli
+
+before = sorted(m for m in sys.modules if m.startswith("numpy."))
+code = cli.main({argv!r})
+print(json.dumps({{"code": code, "before": before}}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["emission", "--k-ratio", "100", "--start", "0", "--end", "6283.185307179586",
+     "--steps", "200"],
+    ["steady", "--r-over-c", "1", "--grid", "16x16", "--format", "json"],
+])
+def test_lazy_numpy_writes_the_same_bytes(tmp_path, argv):
+    texts = []
+    for first in ("", "import numpy"):
+        out = tmp_path / f"table{len(texts)}"
+        seen = fresh(_WRITE_TABLE.format(first=first, argv=[*argv, "--out", str(out)]),
+                     tmp_path)
+        assert seen["code"] == 0
+        assert (seen["before"] == []) == (first == "")
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_missing_numpy_is_named(tmp_path):
+    code = """
+import importlib.util, json
+
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *args: None if name == "numpy" else find_spec(name, *args)
+try:
+    import cascade_mazer
+except Exception as err:
+    print(json.dumps([type(err).__name__, err.name, str(err)]))
+"""
+    kind, name, message = fresh(code, tmp_path)
+    assert (kind, name) == ("ModuleNotFoundError", "numpy")
+    assert "numpy" in message
 
 
 def test_every_traced_benchmark_name_resolves(tmp_path):
