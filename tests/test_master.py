@@ -866,8 +866,10 @@ class TestDetailedBalanceOracle:
         beam = CavityBeam(k_ratio=0.01, kappa_l=20000.0 * math.pi, gamma=0.0)
         cfg = MazerConfig(r_over_c=50.0, nb1=0.0, nb2=0.0, beam=beam,
                           n1_max=8, n2_max=2, c1_over_c=1e-310)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows double"):
-            twolevel_detailed_balance(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows double"):
+                twolevel_detailed_balance(cfg)
 
     def test_overflowing_beam_is_named(self):
         # the gains come out nan; the error names the beam, with no numpy
