@@ -29,7 +29,7 @@ def table() -> Table:
 
 def test_identical_texts(report):
     text = serialize(table())
-    assert report(text, text) == "identical"
+    assert report(text, text) == (True, "identical")
 
 
 def test_names_the_cell_that_moved_most_relative_to_its_size(report):
@@ -37,25 +37,36 @@ def test_names_the_cell_that_moved_most_relative_to_its_size(report):
     moved.rows[12][1] *= 1.5  # by a half
     moved.rows[0][2] += 0.0625  # by more, but by a fifth of its size
     assert report(serialize(table()), serialize(moved)) == (
-        "cells max abs 0.0625, max rel 0.333 (p1[12]); metadata max abs 0, max rel 0")
+        True, "cells max abs 0.0625, max rel 0.333 (p1[12]); metadata max abs 0, max rel 0")
 
 
 def test_names_the_metadata_number_that_moved_by_its_key_path(report):
     moved = table()
     moved.meta["convergence"]["residual"] *= 2.0
     assert report(serialize(table()), serialize(moved)) == (
-        "cells max abs 0, max rel 0; metadata max abs 0.25, max rel 0.5 (convergence.residual)")
+        True, "cells max abs 0, max rel 0; metadata max abs 0.25, max rel 0.5 "
+        "(convergence.residual)")
 
 
 def test_reads_json_tables(report):
     moved = table()
     moved.rows[3][2] *= 1.25
     assert report(serialize(table(), "json"), serialize(moved, "json")) == (
-        "cells max abs 0.00781, max rel 0.2 (p2[3]); metadata max abs 0, max rel 0")
+        True, "cells max abs 0.00781, max rel 0.2 (p2[3]); metadata max abs 0, max rel 0")
 
 
-def _relabelled(text):
-    return text.replace("super-Poissonian", "sub-Poissonian")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_names_the_metadata_text_that_differs_and_still_reports_the_moves(report, fmt):
+    # a relabelled mode, and a config number that becomes null
+    old, moved = table(), table()
+    old.meta["config"] = {"dt": 0.002, "tol": 1e-12}
+    moved.meta["config"] = {"dt": None, "tol": 1e-12}
+    moved.meta["moments"]["label1"] = "sub-Poissonian"
+    moved.meta["convergence"]["iterations"] = 4
+    moved.rows[12][1] *= 1.5
+    assert report(serialize(old, fmt), serialize(moved, fmt)) == (
+        False, "cells max abs 6.1e-05, max rel 0.333 (p1[12]); metadata max abs 4, max rel 1 "
+        "(convergence.iterations); metadata text differs at config.dt, moments.label1")
 
 
 def _renamed(text):
@@ -74,8 +85,10 @@ def _unparsable(text):
     return text[:20]
 
 
-@pytest.mark.parametrize("change", [_relabelled, _renamed, _reordered, _ragged, _unparsable])
+@pytest.mark.parametrize("change", [_renamed, _reordered, _ragged, _unparsable])
 def test_text_other_than_numbers_differs(report, change):
     text = serialize(table())
     assert change(text) != text
-    assert report(text, change(text)) is None
+    same_text, line = report(text, change(text))
+    assert not same_text
+    assert line.startswith("text differs:\n  parent: ")

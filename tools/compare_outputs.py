@@ -11,8 +11,10 @@ sides are read with `cascade_mazer.cli.parse_table`, in CSV and in JSON.
 Every output is reported as `identical`, or with the largest absolute and
 relative difference of its table cells and of the numbers in its metadata,
 each with the place of the number that moved most, relative to its size: a
-cell as `column[row]`, a metadata number by its key path.  The exit status is
-1 when a table does not parse, when its columns or any text other than a
+cell as `column[row]`, a metadata number by its key path.  A metadata value
+that differs in more than its number (a label, or a number that became null)
+is named by its key path, and the moves are still reported.  The exit status
+is 1 when a table does not parse, when its columns or any text other than a
 number differ, or when a command fails on either side.
 """
 
@@ -79,13 +81,11 @@ def write_outputs(root: Path, outdir: Path, config: Path) -> dict[str, str | Non
     return texts
 
 
-def difference(old, new, path: str = "") -> tuple[float, float, str | None] | None:
+def difference(old, new, path: str = "") -> tuple[float, float, str | None, list[str]]:
     """Largest absolute and relative difference of the numbers in two parsed
-    JSON values, and the key path of the largest relative one (None if none
-    moved), e.g. convergence.tail_leak or p1[12].
-
-    None when the values differ anywhere but in their numbers; keys and their
-    order count.
+    JSON values, the key path of the largest relative one (None if none
+    moved), e.g. convergence.tail_leak or p1[12], and the key paths where the
+    values differ in more than their numbers; keys and their order count.
     """
     if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
         parts = [difference(old[key], new[key], f"{path}.{key}" if path else key) for key in old]
@@ -93,14 +93,13 @@ def difference(old, new, path: str = "") -> tuple[float, float, str | None] | No
         parts = [difference(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
     elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)):
         if old == new:
-            return 0.0, 0.0, None
-        return abs(old - new), abs(old - new) / max(abs(old), abs(new)), path
+            return 0.0, 0.0, None, []
+        return abs(old - new), abs(old - new) / max(abs(old), abs(new)), path, []
     else:
-        return (0.0, 0.0, None) if old == new else None
-    if None in parts:
-        return None
-    _, relative, moved = max(parts, key=lambda part: part[1], default=(0.0, 0.0, None))
-    return max((part[0] for part in parts), default=0.0), relative, moved
+        return 0.0, 0.0, None, ([] if old == new else [path or "(top level)"])
+    _, relative, moved, _ = max(parts, key=lambda part: part[1], default=(0.0, 0.0, None, []))
+    return (max((part[0] for part in parts), default=0.0), relative, moved,
+            [text for part in parts for text in part[3]])
 
 
 def cells(table: Table) -> dict[str, list]:
@@ -110,22 +109,30 @@ def cells(table: Table) -> dict[str, list]:
     return {column: [row[i] for row in table.rows] for i, column in enumerate(table.columns)}
 
 
-def report(old: str, new: str) -> str | None:
-    """One line saying how two outputs differ; None when a table does not
-    parse, or when its columns or any text other than a number differ."""
+def report(old: str, new: str) -> tuple[bool, str]:
+    """Whether two outputs agree in everything but their numbers, and one line
+    saying how they differ.
+
+    A table that does not parse, or whose columns or cells differ in more than
+    their numbers, is shown as its first 300 characters on both sides.
+    """
     if old == new:
-        return "identical"
+        return True, "identical"
     try:
-        old, new = parse_table(old), parse_table(new)
-        parts = {"cells": difference(cells(old), cells(new)),
-                 "metadata": difference(old.meta, new.meta)}
+        old_table, new_table = parse_table(old), parse_table(new)
+        parts = {"cells": difference(cells(old_table), cells(new_table)),
+                 "metadata": difference(old_table.meta, new_table.meta)}
     except (ValueError, LookupError, TypeError):
-        return None
-    if None in parts.values():
-        return None
-    return "; ".join(f"{part} max abs {absolute:.3g}, max rel {relative:.3g}"
+        parts = None
+    if parts is None or parts["cells"][3]:
+        return False, f"text differs:\n  parent: {old[:300]!r}\n  change: {new[:300]!r}"
+    line = "; ".join(f"{part} max abs {absolute:.3g}, max rel {relative:.3g}"
                      + ("" if moved is None else f" ({moved})")
-                     for part, (absolute, relative, moved) in parts.items())
+                     for part, (absolute, relative, moved, _) in parts.items())
+    texts = parts["metadata"][3]
+    if texts:
+        line += "; metadata text differs at " + ", ".join(texts)
+    return not texts, line
 
 
 def main() -> int:
@@ -146,10 +153,8 @@ def main() -> int:
         if parent[name] is None or change[name] is None:
             failed = True
             continue
-        line = report(parent[name], change[name])
-        if line is None:
-            failed = True
-            line = f"text differs:\n  parent: {parent[name][:300]!r}\n  change: {change[name][:300]!r}"
+        same_text, line = report(parent[name], change[name])
+        failed = failed or not same_text
         print(f"{name}: {line}")
     return 1 if failed else 0
 
