@@ -32,6 +32,7 @@ from .master import (
 from .scattering import (
     CavityBeam,
     ScatterInput,
+    _abs2,
     _require_finite,
     _require_positive,
     channel_gains,
@@ -120,8 +121,8 @@ def _emission_row(spec: SweepSpec, value: float) -> list[float]:
         float(value),
         gain.p_one,
         gain.p_two,
-        abs(ch.r_a) ** 2,
-        abs(ch.t_a) ** 2,
+        _abs2(ch.r_a),
+        _abs2(ch.t_a),
         jc.p_one,
         jc.p_two,
     ]

@@ -218,8 +218,10 @@ def _branch_ramp(w2, k: float, length: float):
     # 2 e^-x / (1 + e^-2x) = sech(x); underflows to exact 0, never overflows.
     damp = np.where(osc, 1.0, 2.0 * np.exp(-qlen) / (1.0 + np.exp(-2.0 * qlen)))
 
-    denom = cos_term - 0.5j * (w2 + k * k) / k * sin_ratio
-    rho = 0.5j * (w2 - k * k) / k * sin_ratio / denom
+    # Real division first: a complex divided by a real array is promoted to a
+    # complex division, which rounds differently from the 0-d path.
+    denom = cos_term - 0.5j * ((w2 + k * k) / k) * sin_ratio
+    rho = 0.5j * ((w2 - k * k) / k) * sin_ratio / denom
     tau = np.exp(-1j * k * length) * damp / denom
     return rho, tau
 
@@ -277,9 +279,18 @@ def scatter_channels(inp: ScatterInput) -> ScatterChannels:
     return ScatterChannels(*_finite_amplitudes(inp, amps))
 
 
+def _abs2(z):
+    """|z|^2 with the same bits for a Python complex and a numpy array of any shape.
+
+    Neither abs nor ** 2 gives that: numpy's array abs and Python's differ in
+    the last bit, and so do x ** 2 and x * x.
+    """
+    return z.real * z.real + z.imag * z.imag
+
+
 def _exit_probability(r, t):
     """|r|^2 + |t|^2: leaving through one exit channel in either direction."""
-    return abs(r) ** 2 + abs(t) ** 2
+    return _abs2(r) + _abs2(t)
 
 
 def channel_gains(ch: ScatterChannels) -> GainProbabilities:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cascade_mazer.master import MazerConfig, build_gain_table
 from cascade_mazer.scattering import (
     CavityBeam,
     ScatterInput,
@@ -414,9 +415,7 @@ class TestGainProbabilities:
         for i, length in enumerate(lengths):
             inp = ScatterInput(k_ratio=k, kappa_l=length, gamma=gamma, n1=n1, n2=n2)
             gain = gain_probabilities(inp)
-            # numpy's abs of a complex array and of a scalar can differ in the last bits
-            assert p_one[i] == pytest.approx(gain.p_one, rel=0.0, abs=1e-15)
-            assert p_two[i] == pytest.approx(gain.p_two, rel=0.0, abs=1e-15)
+            assert (p_one[i], p_two[i]) == (gain.p_one, gain.p_two)
             # at the barrier top the oracle's two interior waves coincide
             q = cmath.sqrt(complex(omega - k * k))
             if q.real * length > 25.0 or abs(q) < 1e-3:
@@ -424,6 +423,45 @@ class TestGainProbabilities:
             _, _, r_b1, t_b1, r_b2, t_b2 = oracle_channels(inp)
             assert p_one[i] == pytest.approx(abs(r_b1) ** 2 + abs(t_b1) ** 2, abs=1e-12)
             assert p_two[i] == pytest.approx(abs(r_b2) ** 2 + abs(t_b2) ** 2, abs=1e-12)
+
+
+    # the kernel works entry by entry, so the shape of its input must not move
+    # a bit: a sweep over k/kappa or kappa L, one-element calls and the gain
+    # table all give the scalar API's amplitudes and gains at every point
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        beams=st.lists(st.tuples(st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+                                 st.floats(0.0, 1e5)), min_size=1, max_size=12),
+        swept=st.sampled_from(["k_ratio", "kappa_l"]),
+        gamma=st.floats(0.0, 5.0), n1=st.integers(0, 40), n2=st.integers(0, 40),
+    )
+    def test_kernel_bits_do_not_depend_on_the_shape_of_its_input(self, beams, swept, gamma,
+                                                                 n1, n2):
+        k_ratio, kappa_l = beams[0]
+        if swept == "k_ratio":
+            points = [(k, kappa_l) for k, _ in beams]
+            args = (np.array([k for k, _ in points]), kappa_l)
+        else:
+            points = [(k_ratio, length) for _, length in beams]
+            args = (k_ratio, np.array([length for _, length in points]))
+        sweep = _channel_arrays(*args, gamma, n1, n2)
+        sweep_gains = _gain_arrays(*args, gamma, n1, n2)
+        for i, (k, length) in enumerate(points):
+            inp = ScatterInput(k_ratio=k, kappa_l=length, gamma=gamma, n1=n1, n2=n2)
+            want = astuple(scatter_channels(inp))
+            gain = gain_probabilities(inp)
+            one = _channel_arrays(k, length, gamma, np.array([n1]), np.array([n2]))
+            assert tuple(complex(channel[i]) for channel in sweep) == want
+            assert tuple(complex(channel[0]) for channel in one) == want
+            assert (sweep_gains[0][i], sweep_gains[1][i]) == (gain.p_one, gain.p_two)
+        beam = CavityBeam(k_ratio, kappa_l, gamma)
+        cfg = MazerConfig(r_over_c=0.7, nb1=0.0, nb2=0.0, beam=beam, n1_max=min(n1, 10) + 2,
+                          n2_max=min(n2, 10) + 2)
+        table = build_gain_table(cfg)
+        for m1, m2 in np.ndindex(table.g_b1.shape):
+            gain = gain_probabilities(beam.with_photons(m1, m2))
+            assert table.g_b1[m1, m2] == cfg.r_over_c * gain.p_one
+            assert table.g_b2[m1, m2] == cfg.r_over_c * gain.p_two
 
 
 class TestUltracoldApprox:
