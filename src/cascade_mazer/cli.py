@@ -19,7 +19,6 @@ from . import __version__
 from . import _numpy as np
 from .jc import JcInput, g1_tau_from_beam, jc_gain
 from .master import (
-    _DT,
     _GRID,
     _T_MAX,
     _TOL,
@@ -173,7 +172,7 @@ def steady_sweep(
     cfg: MazerConfig,
     *,
     method: str = _METHOD,
-    dt: float = _DT,
+    dt: float | None = None,
     tol: float = _TOL,
     t_max: float = _T_MAX,
 ) -> Table:
@@ -182,9 +181,13 @@ def steady_sweep(
     Solved directly unless method="rk4", the check that also takes grids
     above MAX_DIRECT_STATES; dt, tol and t_max steer only RK4, but the
     table's config echoes them, so they must be finite and positive for both.
+    dt=None, echoed as null, is RK4's default step 1 / max outflow; the step
+    a run used is model_time / iterations.
     """
-    for name, value in (("dt", dt), ("t_max", t_max), ("tol", tol)):
-        _require_positive(name, value)
+    if dt is not None:
+        _require_positive("dt", dt)
+    _require_positive("t_max", t_max)
+    _require_positive("tol", tol)
     if method == "rk4":
         result = rk4_steady_state(cfg, dt=dt, t_max=t_max, tol=tol)
     elif method == "direct":
@@ -290,17 +293,16 @@ _PRESETS = {
               _FIG3A_NOTE, False),
     "fig3b": ("emission", dict(_FIG3, k_ratio=100.0, start=0.0, end=2000.0 * math.pi,
                                steps=2000), None, False),
-    "fig4a": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0,
-                             dt=2e-3), None, False),
-    "fig4b": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_KAPPA_L, g_ratio=1.0, nb=0.0,
-                             dt=2e-3), None, False),
-    "fig5": ("steady", dict(_CAVITY, k_ratio=100.0, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0,
-                            dt=2e-3), None, False),
-    # nb=1 startup transient needs the finer step to stay positive
-    "fig6": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_FIG6_KAPPA_L, g_ratio=2.0, nb=1.0,
-                            dt=1e-3), _FIG6_NOTE, True),
-    "fig7": ("steady", dict(_CAVITY, k_ratio=1.1, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0,
-                            dt=2e-3), None, False),
+    "fig4a": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0),
+              None, False),
+    "fig4b": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_KAPPA_L, g_ratio=1.0, nb=0.0),
+              None, False),
+    "fig5": ("steady", dict(_CAVITY, k_ratio=100.0, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0),
+             None, False),
+    "fig6": ("steady", dict(_CAVITY, k_ratio=0.01, kappa_l=_FIG6_KAPPA_L, g_ratio=2.0, nb=1.0),
+             _FIG6_NOTE, True),
+    "fig7": ("steady", dict(_CAVITY, k_ratio=1.1, kappa_l=_KAPPA_L, g_ratio=2.0, nb=0.0),
+             None, False),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
@@ -419,9 +421,10 @@ def _add_cavity_flags(sub):
     _add_grid_flag(sub)
 
 
-def _add_solver_flags(sub, method=_METHOD, dt=_DT, tol=_TOL, t_max=_T_MAX):
+def _add_solver_flags(sub, method=_METHOD, tol=_TOL, t_max=_T_MAX):
     sub.add_argument("--method", choices=("rk4", "direct"), default=method)
-    sub.add_argument("--dt", type=float, default=dt)
+    sub.add_argument("--dt", type=float, default=None,
+                     help="RK4 step (default: 1 / max outflow, which keeps p nonnegative)")
     sub.add_argument("--tol", type=float, default=tol)
     sub.add_argument("--t-max", type=float, default=t_max)
 
@@ -472,7 +475,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     preset = subs.add_parser("preset", help="reproduce a published dataset")
     preset.add_argument("name", choices=PRESET_NAMES)
     _add_grid_flag(preset, grid=None)  # None: run_preset's own settings
-    _add_solver_flags(preset, None, None, None, None)
+    _add_solver_flags(preset, None, None, None)
     _add_output_flags(preset)
 
     return parser, subs.choices

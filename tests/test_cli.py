@@ -29,7 +29,7 @@ from cascade_mazer.cli import (
     steady_sweep,
     units_table,
 )
-from cascade_mazer.master import MazerConfig
+from cascade_mazer.master import MazerConfig, _RateGenerator, build_gain_table
 from cascade_mazer.scattering import (
     CavityBeam,
     ScatterInput,
@@ -214,6 +214,20 @@ class TestSteadySweep:
         with pytest.raises(ValueError):
             steady_sweep(small_config(), method="euler")
 
+    def test_config_echoes_dt_as_given(self):
+        # null for RK4's default step 1 / max outflow, the step model_time / iterations
+        cfg = small_config()
+        step = 1.0 / _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
+        derived = steady_sweep(cfg, method="rk4")
+        given = steady_sweep(cfg, method="rk4", dt=step)
+        assert derived.meta["config"]["dt"] is None
+        assert given.meta["config"]["dt"] == step
+        assert derived.rows == given.rows
+        assert derived.meta["convergence"] == given.meta["convergence"]
+        convergence = derived.meta["convergence"]
+        assert convergence["model_time"] / convergence["iterations"] == pytest.approx(step)
+        assert steady_sweep(cfg).meta["config"]["dt"] is None
+
 
 class TestPhysicalScale:
     def test_rubidium_defaults(self):
@@ -296,7 +310,7 @@ class TestPresets:
         table.meta.pop("note", None)
         if twolevel_column:
             # the gamma = 0 column is the oracle-twolevel command on the same cavity
-            oracle = [arg for arg in argv if not arg.startswith(("--g-ratio=", "--dt="))]
+            oracle = [arg for arg in argv if not arg.startswith("--g-ratio=")]
             assert main(["oracle-twolevel", *oracle, "--out", str(tmp_path / "oracle")]) == 0
             balance = parse_table((tmp_path / "oracle").read_text())
             assert [row.pop() for row in table.rows] == [row[1] for row in balance.rows]
@@ -373,6 +387,9 @@ class TestCommandLine:
          "raise dt (--dt) or lower t_max (--t-max)"),
         (["--c1", "1e308"], "or use a smaller grid (--grid)"),
         (["--c1", "1e308", "--method", "rk4"], "or use a smaller grid (--grid)"),
+        # a subnormal max outflow, whose reciprocal, the default step, overflows
+        (["--method", "rk4", "--r-over-c", "5e-324", "--c1", "5e-324", "--c2", "5e-324"],
+         "raise c1_over_c and c2_over_c (--c1, --c2)"),
     ])
     def test_overflowing_settings_exit_with_advice(self, capsys, argv, advice):
         assert main(["steady", "--grid", "8x8", *argv]) == 1

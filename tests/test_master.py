@@ -544,8 +544,33 @@ class TestRk4SteadyState:
         assert res.dist.mass() == pytest.approx(1.0, abs=1e-6)
 
     def test_large_step_hits_stability_guard(self):
-        with pytest.raises(StabilityError):
+        with pytest.raises(StabilityError, match=r"> 2\.5; omit dt \(--dt\) for the default "
+                           r"step 1 / max outflow = .*, which keeps p nonnegative$"):
             rk4_steady_state(config(n=32), dt=1.0)
+
+    def test_default_step_is_one_over_the_max_outflow(self):
+        cfg = config(r=10.0, n=32)
+        res = rk4_steady_state(cfg)
+        step = 1.0 / _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
+        assert res.iterations > 0
+        assert res.model_time == res.iterations * step
+
+    @pytest.mark.parametrize("c, t_max", [
+        (5e-324, 500.0),  # 1 / max outflow overflows
+        (1e-300, 1e-30),  # t_max / dt underflows to no step at all
+    ])
+    def test_refuses_a_default_step_with_no_step_count(self, c, t_max):
+        cfg = config(r=c, n=8, c1_over_c=c, c2_over_c=c)
+        with pytest.raises(ValueError, match=r"^the default step 1 / max outflow = 1 / .* is not "
+                           r"finite or gives no step in t_max = .*; raise c1_over_c and "
+                           r"c2_over_c \(--c1, --c2\)$"):
+            rk4_steady_state(cfg, t_max=t_max)
+
+    def test_refuses_a_default_step_count_that_overflows(self):
+        cfg = config(r=1.0, n=8, c1_over_c=1e10, c2_over_c=1e10)
+        with pytest.raises(ValueError, match=r"^t_max / dt = 1e\+300 / .* overflows the step "
+                           r"count; lower t_max \(--t-max\)$"):
+            rk4_steady_state(cfg, t_max=1e300)
 
     def test_short_horizon_fails_loudly(self):
         with pytest.raises(ConvergenceError):
@@ -557,22 +582,18 @@ class TestRk4SteadyState:
         with pytest.raises(TruncationError, match="mass drifted .* the grid is leaking"):
             rk4_steady_state(config(n=8), tol=1e-6, t_max=200.0)
 
-    @staticmethod
-    def floored_config() -> tuple[MazerConfig, float]:
-        """A config that leaks 2.35e-9 per unit time, which |dP/dt| cannot fall
-        below, and the step 1 / max outflow."""
-        beam = CavityBeam(k_ratio=0.08, kappa_l=140.0, gamma=1.3)
-        cfg = MazerConfig(r_over_c=0.3, nb1=0.0, nb2=0.0, beam=beam, n1_max=8,
-                          n2_max=12, c1_over_c=0.5, c2_over_c=1.3)
-        return cfg, 1.0 / _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
+    # a config that leaks 2.35e-9 per unit time, which |dP/dt| cannot fall below
+    FLOORED = MazerConfig(r_over_c=0.3, nb1=0.0, nb2=0.0,
+                          beam=CavityBeam(k_ratio=0.08, kappa_l=140.0, gamma=1.3),
+                          n1_max=8, n2_max=12, c1_over_c=0.5, c2_over_c=1.3)
 
     def test_residual_floored_at_the_leak_asks_for_a_larger_grid(self):
         # a shorter run still asks for a longer one
-        cfg, dt = self.floored_config()
+        cfg = self.FLOORED
         with pytest.raises(ConvergenceError, match="raise t_max"):
-            rk4_steady_state(cfg, dt=dt, tol=1e-10, t_max=30.0)
+            rk4_steady_state(cfg, tol=1e-10, t_max=30.0)
         with pytest.raises(ConvergenceError) as err:
-            rk4_steady_state(cfg, dt=dt, tol=1e-10, t_max=100.0)
+            rk4_steady_state(cfg, tol=1e-10, t_max=100.0)
         leak = direct_steady_state(cfg).dist.tail_leak
         assert "floored at the stationary leak rate" in str(err.value)
         assert f"enlarge the photon grid or set tol above {leak:.3e}" in str(err.value)
@@ -580,9 +601,8 @@ class TestRk4SteadyState:
     def test_long_run_at_the_leak_floor_is_not_a_leaking_grid(self):
         # the floored leak drains 1e-6 of mass by t = 431, which the direct
         # solve's leak gate accepts: the floor is the verdict, not truncation
-        cfg, dt = self.floored_config()
         with pytest.raises(ConvergenceError) as err:
-            rk4_steady_state(cfg, dt=dt, tol=1e-10, t_max=1000.0)
+            rk4_steady_state(self.FLOORED, tol=1e-10, t_max=1000.0)
         message = str(err.value)
         assert "at t = 431." in message
         assert "floored at the stationary leak rate 2.347e-09" in message
@@ -963,8 +983,7 @@ class TestOracleProperties:
         solved = solve_if_it_fits(cfg, gains)
         # RK4's residual cannot fall below the rate at which it leaks
         assume(solved.dist.tail_leak < 1e-12)
-        gen = _RateGenerator(cfg, gains)
-        stepped = rk4_steady_state(cfg, dt=1.0 / gen.max_outflow(), tol=1e-11, gains=gains)
+        stepped = rk4_steady_state(cfg, tol=1e-11, gains=gains)
         # damping rates >= 0.5 relax p to within a few residuals of the fixed point
         assert np.abs(stepped.dist.p - solved.dist.p).sum() < 1e-9
 
@@ -972,14 +991,26 @@ class TestOracleProperties:
     @given(cfg=small_configs())
     def test_time_stepping_balances_both_first_moments(self, cfg):
         gains = build_gain_table(cfg)
-        gen = _RateGenerator(cfg, gains)
         try:
-            stepped = rk4_steady_state(cfg, dt=1.0 / gen.max_outflow(), tol=1e-11, gains=gains)
+            stepped = rk4_steady_state(cfg, tol=1e-11, gains=gains)
         except SolverError:
             assume(False)
         # each residual is -sum n (A p), so at most max(n) |A p|_1
         bound = (max(cfg.n1_max, cfg.n2_max) - 1) * stepped.residual + 1e-12
         assert max(map(abs, flux_balance(cfg, gains, stepped.dist.p))) <= bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=small_configs())
+    def test_default_step_keeps_the_one_step_map_nonnegative(self, cfg):
+        # R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 at RK4's default
+        # h = 1 / max outflow, built densely in the stepper's Horner form
+        gen = _RateGenerator(cfg, build_gain_table(cfg))
+        ha = gen.matrix.toarray() / gen.max_outflow()
+        eye = np.eye(ha.shape[0])
+        one_step = eye
+        for divisor in (4.0, 3.0, 2.0, 1.0):
+            one_step = eye + ha @ one_step / divisor
+        assert one_step.min() >= -1e-15
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(cfg=small_configs(gamma=0.0, side=24))
