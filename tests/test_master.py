@@ -548,13 +548,6 @@ class TestRk4SteadyState:
                            r"step 1 / max outflow = .*, which keeps p nonnegative$"):
             rk4_steady_state(config(n=32), dt=1.0)
 
-    def test_default_step_is_one_over_the_max_outflow(self):
-        cfg = config(r=10.0, n=32)
-        res = rk4_steady_state(cfg)
-        step = 1.0 / _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
-        assert res.iterations > 0
-        assert res.model_time == res.iterations * step
-
     @pytest.mark.parametrize("c, t_max", [
         (5e-324, 500.0),  # 1 / max outflow overflows
         (1e-300, 1e-30),  # t_max / dt underflows to no step at all

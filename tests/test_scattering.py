@@ -424,7 +424,6 @@ class TestGainProbabilities:
             assert p_one[i] == pytest.approx(abs(r_b1) ** 2 + abs(t_b1) ** 2, abs=1e-12)
             assert p_two[i] == pytest.approx(abs(r_b2) ** 2 + abs(t_b2) ** 2, abs=1e-12)
 
-
     # the kernel works entry by entry, so the shape of its input must not move
     # a bit: a sweep over k/kappa or kappa L, one-element calls and the gain
     # table all give the scalar API's amplitudes and gains at every point
