@@ -69,6 +69,16 @@ def test_names_the_metadata_text_that_differs_and_still_reports_the_moves(report
         "(convergence.iterations); metadata text differs at config.dt, moments.label1")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_names_the_keys_on_one_side_only_and_still_compares_the_shared_ones(report, fmt):
+    old, moved = table(), table()
+    old.meta["config"] = {"dt": None, "method": "rk4", "tol": 1e-12}
+    moved.meta["config"] = {"method": "rk4", "t_max": 500.0, "tol": 4e-12}
+    assert report(serialize(old, fmt), serialize(moved, fmt)) == (
+        False, "cells max abs 0, max rel 0; metadata max abs 3e-12, max rel 0.75 (config.tol); "
+        "metadata text differs at config.dt (removed), config.t_max (added)")
+
+
 def _renamed(text):
     return text.replace("n,p1,p2", "n,p1,q2")
 

@@ -13,9 +13,10 @@ relative difference of its table cells and of the numbers in its metadata,
 each with the place of the number that moved most, relative to its size: a
 cell as `column[row]`, a metadata number by its key path.  A metadata value
 that differs in more than its number (a label, or a number that became null)
-is named by its key path, and the moves are still reported.  The exit status
-is 1 when a table does not parse, when its columns or any text other than a
-number differ, or when a command fails on either side.
+is named by its key path, as is a metadata key on one side only, and the
+moves are still reported.  The exit status is 1 when a table does not parse,
+when its columns or any text other than a number differ, or when a command
+fails on either side.
 """
 
 from __future__ import annotations
@@ -85,10 +86,16 @@ def difference(old, new, path: str = "") -> tuple[float, float, str | None, list
     """Largest absolute and relative difference of the numbers in two parsed
     JSON values, the key path of the largest relative one (None if none
     moved), e.g. convergence.tail_leak or p1[12], and the key paths where the
-    values differ in more than their numbers; keys and their order count.
+    values differ in more than their numbers.  A key on one side only is named
+    as e.g. config.dt (removed) or (added), and the keys both sides share are
+    still compared; shared keys in another order differ as a whole.
     """
-    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
-        parts = [difference(old[key], new[key], f"{path}.{key}" if path else key) for key in old]
+    if isinstance(old, dict) and isinstance(new, dict) and (
+            [key for key in old if key in new] == [key for key in new if key in old]):
+        paths = {key: f"{path}.{key}" if path else key for key in {**old, **new}}
+        parts = [difference(old[key], new[key], paths[key]) for key in old if key in new]
+        parts.append((0.0, 0.0, None, [f"{paths[key]} (removed)" for key in old if key not in new]
+                      + [f"{paths[key]} (added)" for key in new if key not in old]))
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         parts = [difference(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
     elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)):
