@@ -44,7 +44,6 @@ from .master import (
     JointDistribution,
     MazerConfig,
     SolverError,
-    StabilityError,
     SteadyStateResult,
     TruncationError,
     apply_generator,
@@ -84,7 +83,6 @@ __all__ = [
     "ScatterChannels",
     "ScatterInput",
     "SolverError",
-    "StabilityError",
     "SteadyStateResult",
     "TruncationError",
     "apply_generator",

@@ -32,6 +32,7 @@ from .scattering import (
     CavityBeam,
     ScatterInput,
     _abs2,
+    _require_count,
     _require_finite,
     _require_positive,
     channel_gains,
@@ -78,8 +79,7 @@ def _table(command: str, config: dict, columns: list[str], rows: list[list], **m
 
 
 def _require_range(start: float, end: float, steps: int) -> None:
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps!r}")
+    _require_count("steps", steps, minimum=2)
     _require_finite("start", start)
     _require_finite("end", end)
     if not start < end:
@@ -172,24 +172,20 @@ def steady_sweep(
     cfg: MazerConfig,
     *,
     method: str = _METHOD,
-    dt: float | None = None,
     tol: float = _TOL,
     t_max: float = _T_MAX,
 ) -> Table:
     """Steady-state marginals P1(n), P2(n) with moment and solver metadata.
 
     Solved directly unless method="rk4", the check that also takes grids
-    above MAX_DIRECT_STATES; dt, tol and t_max steer only RK4, but the
-    table's config echoes them, so they must be finite and positive for both.
-    dt=None, echoed as null, is RK4's default step 1 / max outflow; the step
-    a run used is model_time / iterations.
+    above MAX_DIRECT_STATES; tol and t_max steer only RK4, but the table's
+    config echoes them, so they must be finite and positive for both.  RK4
+    steps at 1 / max outflow; the step a run used is model_time / iterations.
     """
-    if dt is not None:
-        _require_positive("dt", dt)
     _require_positive("t_max", t_max)
     _require_positive("tol", tol)
     if method == "rk4":
-        result = rk4_steady_state(cfg, dt=dt, t_max=t_max, tol=tol)
+        result = rk4_steady_state(cfg, t_max=t_max, tol=tol)
     elif method == "direct":
         result = direct_steady_state(cfg)
     else:
@@ -203,7 +199,7 @@ def steady_sweep(
             "model_time": result.model_time,
         },
     }
-    config = dict(_config_meta(cfg), method=method, dt=dt, tol=tol, t_max=t_max)
+    config = dict(_config_meta(cfg), method=method, tol=tol, t_max=t_max)
     rows = _marginal_rows(*marginals(result.dist))
     return _table("steady", config, ["n", "p1", "p2"], rows, **meta)
 
@@ -321,7 +317,6 @@ def run_preset(
     *,
     grid: tuple[int, int] | None = None,
     method: str | None = None,
-    dt: float | None = None,
     tol: float | None = None,
     t_max: float | None = None,
 ) -> Table:
@@ -334,7 +329,7 @@ def run_preset(
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     command, _, note, twolevel_column = _PRESETS[name]
-    settings = dict(grid=grid, method=method, dt=dt, tol=tol, t_max=t_max)
+    settings = dict(grid=grid, method=method, tol=tol, t_max=t_max)
     given = {key: value for key, value in settings.items() if value is not None}
     if command == "emission" and given:
         raise ValueError(f"preset {name!r} is an emission sweep and takes no "
@@ -423,8 +418,6 @@ def _add_cavity_flags(sub):
 
 def _add_solver_flags(sub, method=_METHOD, tol=_TOL, t_max=_T_MAX):
     sub.add_argument("--method", choices=("rk4", "direct"), default=method)
-    sub.add_argument("--dt", type=float, default=None,
-                     help="RK4 step (default: 1 / max outflow, which keeps p nonnegative)")
     sub.add_argument("--tol", type=float, default=tol)
     sub.add_argument("--t-max", type=float, default=t_max)
 
@@ -514,7 +507,6 @@ def _cmd_steady(args) -> Table:
     return steady_sweep(
         _mazer_config(args, args.g_ratio),
         method=args.method,
-        dt=args.dt,
         tol=args.tol,
         t_max=args.t_max,
     )
@@ -545,7 +537,6 @@ def _cmd_preset(args) -> Table:
         args.name,
         grid=args.grid,
         method=args.method,
-        dt=args.dt,
         tol=args.tol,
         t_max=args.t_max,
     )

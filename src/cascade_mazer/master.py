@@ -50,7 +50,6 @@ __all__ = [
     "JointDistribution",
     "SteadyStateResult",
     "SolverError",
-    "StabilityError",
     "ConvergenceError",
     "TruncationError",
     "build_gain_table",
@@ -109,10 +108,6 @@ def __getattr__(name: str):
 
 class SolverError(RuntimeError):
     """Base class for steady-state solver failures."""
-
-
-class StabilityError(SolverError):
-    """Explicit time step too large for the fastest rate on the grid."""
 
 
 class ConvergenceError(SolverError):
@@ -377,24 +372,20 @@ def _finalize(gen: _RateGenerator, p: np.ndarray) -> JointDistribution:
     return dist
 
 
-def _floor_error(residual: float, leak_rate: float, tol: float, when: str) -> ConvergenceError:
+def _floor_error(
+    residual: float, leak_rate: float, threshold: float, scale: float, when: str
+) -> ConvergenceError:
     """RK4's residual stuck at the stationary leak rate, which no t_max gets under."""
     return ConvergenceError(
         f"|dP/dt| = {residual:.3e} {when} has floored at the stationary leak rate "
-        f"{leak_rate:.3e}, above tol {tol:.0e}; enlarge the photon grid or set tol "
-        f"above {leak_rate:.3e}"
+        f"{leak_rate:.3e}, above the threshold tol * min(1, max outflow) = {threshold:.3g}; "
+        f"enlarge the photon grid or set tol above {leak_rate / scale:.3e}"
     )
-
-
-def _require_step_count(t_max: float, dt: float, advice: str) -> None:
-    if not math.isfinite(t_max / dt):
-        raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} overflows the step count; {advice}")
 
 
 def rk4_steady_state(
     cfg: MazerConfig,
     *,
-    dt: float | None = None,
     t_max: float = _T_MAX,
     tol: float = _TOL,
     gains: GainTable | None = None,
@@ -402,48 +393,39 @@ def rk4_steady_state(
     """Integrate the rate equation to its steady state with fixed-step RK4.
 
     Starts from the vacuum and stops once the 1-norm of dP/dt falls below
-    tol.  tail_leak is the leak rate of the returned p, as for the direct
-    solve; the step used is model_time / iterations.
+    tol * min(1, max outflow): the steady state does not depend on the scale
+    of the rates, so below a max outflow of 1 the threshold scales with them.
+    tail_leak is the leak rate of the returned p, as for the direct solve;
+    the step used is model_time / iterations.
 
     On p' = Ap the classic step is p + hA(p + h/2 A(p + h/3 A(p + h/4 Ap))),
-    R(hA) p with R the degree-4 Taylor polynomial of exp.  The default step
-    is h = 1 / max outflow.  A = N - D with N >= 0 off the diagonal, so
-    R(hA) is entrywise nonnegative when h max D <= 1, the radius of absolute
+    R(hA) p with R the degree-4 Taylor polynomial of exp.  The step is
+    h = 1 / max outflow.  A = N - D with N >= 0 off the diagonal, so R(hA)
+    is entrywise nonnegative when h max D <= 1, the radius of absolute
     monotonicity of RK4 (Bolley & Crouzeix, RAIRO Anal. Numer. 12, 237
     (1978); Kraaijevanger, BIT 31, 482 (1991)): p stays nonnegative.  Every
     Gershgorin disc of hA then lies in |z + 1| <= 1, inside RK4's stability
     region, so the step is also stable.
-
-    An explicit dt is refused only above 2.5 / max outflow.  That guard is
-    loose: the spectral radius of A reaches 1.1-1.6 times the max outflow,
-    so h|lambda| can reach about 4 there, past RK4's real stability
-    interval (2.79), and on small random grids R(hA) has negative entries
-    from h max D = 1.1.
     """
     _require_positive("t_max", t_max)
     _require_positive("tol", tol)
-    if dt is not None:
-        _require_positive("dt", dt)
-        _require_step_count(t_max, dt, "raise dt (--dt) or lower t_max (--t-max)")
     # A table built here is freed once the generator holds its rates.
     gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
 
     rate_scale = gen.max_outflow()
-    if dt is None:
-        dt = 1.0 / rate_scale
-        if not (math.isfinite(dt) and t_max / dt > 0.0):
-            raise ValueError(
-                f"the default step 1 / max outflow = 1 / {rate_scale:.3g} is not finite or "
-                f"gives no step in t_max = {t_max:g}; raise c1_over_c and c2_over_c "
-                "(--c1, --c2)"
-            )
-        _require_step_count(t_max, dt, "lower t_max (--t-max)")
-    elif dt * rate_scale > 2.5:
-        raise StabilityError(
-            f"dt * max outflow = {dt * rate_scale:.3g} > 2.5; omit dt (--dt) for the "
-            f"default step 1 / max outflow = {1.0 / rate_scale:.3e}, which keeps p "
-            "nonnegative"
+    dt = 1.0 / rate_scale
+    if not (math.isfinite(dt) and t_max / dt > 0.0):
+        raise ValueError(
+            f"the RK4 step 1 / max outflow = 1 / {rate_scale:.3g} is not finite or "
+            f"gives no step in t_max = {t_max:g}; raise c1_over_c and c2_over_c "
+            "(--c1, --c2)"
         )
+    if not math.isfinite(t_max / dt):
+        raise ValueError(
+            f"t_max / dt = {t_max:g} / {dt:g} overflows the step count; lower t_max (--t-max)"
+        )
+    scale = min(1.0, rate_scale)
+    threshold = tol * scale
 
     mat = gen.matrix
     p = JointDistribution.vacuum(*gen.shape).p.ravel()
@@ -453,7 +435,7 @@ def rk4_steady_state(
     for step in range(steps):
         k = mat @ p
         residual = float(np.abs(k, out=stage).sum())
-        if residual < tol:
+        if residual < threshold:
             return SteadyStateResult(
                 dist=_finalize(gen, p.reshape(gen.shape)),
                 method="rk4",
@@ -470,8 +452,8 @@ def rk4_steady_state(
         if p.min() < -1e-9:
             raise SolverError(
                 f"distribution went negative (min {p.min():.3e}) at "
-                f"t = {(step + 1) * dt:.3f}; omit dt (--dt) for the default step, "
-                "which keeps p nonnegative"
+                f"t = {(step + 1) * dt:.3f}, although the step 1 / max outflow keeps p "
+                "nonnegative; that is a fault in the rate generator, not in the settings"
             )
         mass = p.sum()
         if not 1.0 - TAIL_TOLERANCE <= mass <= 1.0 + TAIL_TOLERANCE:
@@ -479,19 +461,19 @@ def rk4_steady_state(
             # mass over a long run: past the floor, that is the verdict.
             when = f"at t = {(step + 1) * dt:.3f}"
             leak_rate = gen.leak(p.reshape(gen.shape))
-            if tol <= leak_rate <= TAIL_TOLERANCE and residual - leak_rate < tol:
-                raise _floor_error(residual, leak_rate, tol, when)
+            if threshold <= leak_rate <= TAIL_TOLERANCE and residual - leak_rate < threshold:
+                raise _floor_error(residual, leak_rate, threshold, scale, when)
             raise TruncationError(
                 f"probability mass drifted to {mass:.9f} {when}; the grid is leaking"
             )
     # |dP/dt| >= |sum of dP/dt| = leak(p): once the rest of the residual is
-    # below tol, a leak rate at or above tol is a floor no t_max gets under.
+    # below the threshold, a leak rate at or above it is a floor no t_max gets under.
     leak_rate = gen.leak(p.reshape(gen.shape))
-    if leak_rate >= tol and residual - leak_rate < tol:
-        raise _floor_error(residual, leak_rate, tol, f"after t_max = {t_max}")
+    if leak_rate >= threshold and residual - leak_rate < threshold:
+        raise _floor_error(residual, leak_rate, threshold, scale, f"after t_max = {t_max}")
     raise ConvergenceError(
-        f"|dP/dt| = {residual:.3e} after t_max = {t_max} (tol {tol:.0e}); "
-        "raise t_max or loosen tol"
+        f"|dP/dt| = {residual:.3e} after t_max = {t_max}, above the threshold "
+        f"tol * min(1, max outflow) = {threshold:.3g}; raise t_max or loosen tol"
     )
 
 

@@ -174,10 +174,10 @@ def test_criterion_6_decoupled_mode_obeys_detailed_balance():
     )
     details = []
     ok = True
-    for nb, dt in ((0.0, 2e-3), (1.0, 1e-3)):
+    for nb in (0.0, 1.0):
         cfg = MazerConfig(r_over_c=50.0, nb1=nb, nb2=nb, beam=beam,
                           n1_max=128, n2_max=128)
-        res = rk4_steady_state(cfg, dt=dt)
+        res = rk4_steady_state(cfg)
         p1, p2 = marginals(res.dist)
         b1, b2 = twolevel_detailed_balance(cfg)
         d1 = float(np.abs(p1 - b1).sum())

@@ -115,6 +115,11 @@ class TestSweepSpec:
             SweepSpec(param="kappa_l", start=1.0, end=1.0, steps=5, base=BASE)
         with pytest.raises(ValueError):
             SweepSpec(param="kappa_l", start=0.0, end=1.0, steps=1, base=BASE)
+        # a step count that is not an integer, which numpy's linspace would refuse
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
+            emission_sweep(SweepSpec(param="kappa_l", start=0.0, end=1.0, steps=2.5, base=BASE))
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got 3\.0$"):
+            jc_sweep(gamma=2.0, n1=0, n2=0, start=0.0, end=1.0, steps=3.0)
         with pytest.raises(ValueError, match="^end must be finite, got inf$"):
             SweepSpec(param="kappa_l", start=0.0, end=math.inf, steps=5, base=BASE)
         with pytest.raises(ValueError,
@@ -214,19 +219,14 @@ class TestSteadySweep:
         with pytest.raises(ValueError):
             steady_sweep(small_config(), method="euler")
 
-    def test_config_echoes_dt_as_given(self):
-        # null for RK4's default step 1 / max outflow, the step model_time / iterations
+    def test_rk4_step_is_model_time_over_iterations(self):
+        # RK4 steps at 1 / max outflow, which the config does not echo
         cfg = small_config()
         step = 1.0 / _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
-        derived = steady_sweep(cfg, method="rk4")
-        given = steady_sweep(cfg, method="rk4", dt=step)
-        assert derived.meta["config"]["dt"] is None
-        assert given.meta["config"]["dt"] == step
-        assert derived.rows == given.rows
-        assert derived.meta["convergence"] == given.meta["convergence"]
-        convergence = derived.meta["convergence"]
+        table = steady_sweep(cfg, method="rk4")
+        assert "dt" not in table.meta["config"]
+        convergence = table.meta["convergence"]
         assert convergence["model_time"] / convergence["iterations"] == pytest.approx(step)
-        assert steady_sweep(cfg).meta["config"]["dt"] is None
 
 
 class TestPhysicalScale:
@@ -277,8 +277,8 @@ class TestPresets:
 
     def test_emission_preset_refuses_steady_settings(self):
         with pytest.raises(ValueError, match=r"^preset 'fig3b' is an emission sweep and takes "
-                           r"no steady-state settings; drop method, dt, tol, t_max$"):
-            run_preset("fig3b", method="bogus", dt=-1.0, tol=float("nan"), t_max=0.0)
+                           r"no steady-state settings; drop method, tol, t_max$"):
+            run_preset("fig3b", method="bogus", tol=float("nan"), t_max=0.0)
 
     def test_slow_beam_preset_notes_presentation_scaling(self):
         t = run_preset("fig3a")
@@ -370,12 +370,11 @@ class TestCommandLine:
         assert "t_max must be finite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("setting, value, message", [
-        ("--dt", "-5", "dt must be > 0"),
         ("--tol", "nan", "tol must be finite"),
         ("--t-max", "0", "t_max must be > 0"),
     ])
     def test_direct_solve_checks_the_rk4_settings_it_echoes(self, capsys, setting, value, message):
-        # the table's config echoes dt, tol and t_max, so the direct method
+        # the table's config echoes tol and t_max, so the direct method
         # checks them too: a NaN there would make the JSON table invalid
         rc = main(["steady", "--grid", "16x16", "--r-over-c", "1", setting, value])
         assert rc == 1
@@ -383,11 +382,11 @@ class TestCommandLine:
         assert message in err and out == ""
 
     @pytest.mark.parametrize("argv, advice", [
-        (["--method", "rk4", "--r-over-c", "1", "--t-max", "1e300", "--dt", "1e-10"],
-         "raise dt (--dt) or lower t_max (--t-max)"),
+        (["--method", "rk4", "--r-over-c", "1", "--c1", "1e10", "--t-max", "1e300"],
+         "lower t_max (--t-max)"),
         (["--c1", "1e308"], "or use a smaller grid (--grid)"),
         (["--c1", "1e308", "--method", "rk4"], "or use a smaller grid (--grid)"),
-        # a subnormal max outflow, whose reciprocal, the default step, overflows
+        # a subnormal max outflow, whose reciprocal, the RK4 step, overflows
         (["--method", "rk4", "--r-over-c", "5e-324", "--c1", "5e-324", "--c2", "5e-324"],
          "raise c1_over_c and c2_over_c (--c1, --c2)"),
     ])
@@ -398,10 +397,37 @@ class TestCommandLine:
         assert err.startswith("cascade-mazer: ") and err.endswith(f"{advice}\n")
         assert err.count("\n") == 1
 
-    def test_unknown_flag_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["steady", "--frobnicate"])
-        assert exc.value.code == 2
+    def test_rk4_at_small_rates_agrees_with_the_direct_solve(self, capsys):
+        # every rate is 1e-14: at the default t_max RK4 fails loudly instead
+        # of stopping at the vacuum, and given the time it converges
+        argv = ["steady", "--grid", "16x16", "--c1", "1e-14", "--c2", "1e-14",
+                "--r-over-c", "1e-14"]
+        assert main(argv + ["--method", "rk4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("; raise t_max or loosen tol\n")
+        assert main(argv + ["--method", "rk4", "--t-max", "1e17"]) == 0
+        stepped = parse_table(capsys.readouterr().out).meta["moments"]
+        assert main(argv) == 0
+        solved = parse_table(capsys.readouterr().out).meta["moments"]
+        assert stepped["mean1"] == pytest.approx(solved["mean1"], rel=1e-9)
+        assert (stepped["label1"], stepped["label2"]) == (solved["label1"], solved["label2"])
+
+    def test_config_file_step_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = rk4\ndt = 0.002\n")
+        assert main(["steady", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"cascade-mazer: {cfg}: unknown key 'dt'; accepted keys: ")
+
+    def test_unknown_flag_is_usage_error(self, capsys):
+        # --dt among them: RK4 steps at 1 / max outflow, which no flag sets
+        for command, flags in ((["steady"], ["--frobnicate"]), (["steady"], ["--dt", "0.002"]),
+                               (["preset", "fig4a"], ["--dt", "0.002"])):
+            with pytest.raises(SystemExit) as exc:
+                main(command + flags)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -420,7 +446,7 @@ class TestCommandLine:
 
     def test_config_run_leaves_the_next_run_at_the_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("method = rk4\ndt = 0.05\n")
+        cfg.write_text("method = rk4\ntol = 1e-10\n")
         argv = ["steady", "--grid", "16x16", "--r-over-c", "1"]
         assert main(argv + ["--config", str(cfg)]) == 0
         assert parse_table(capsys.readouterr().out).meta["config"]["method"] == "rk4"
@@ -583,13 +609,13 @@ class TestCommandLine:
         assert exc.value.code == 2
 
     def test_emission_preset_refuses_steady_flags(self, capsys):
-        rc = main(["preset", "fig3b", "--grid", "8x8", "--method", "rk4", "--dt", "-5",
-                   "--tol", "nan", "--t-max", "0"])
+        rc = main(["preset", "fig3b", "--grid", "8x8", "--method", "rk4", "--tol", "nan",
+                   "--t-max", "0"])
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == ("cascade-mazer: preset 'fig3b' is an emission sweep and takes no "
-                       "steady-state settings; drop grid, method, dt, tol, t_max\n")
+                       "steady-state settings; drop grid, method, tol, t_max\n")
 
     def test_preset_command(self, tmp_path):
         out = tmp_path / "fig3b.csv"
@@ -643,8 +669,8 @@ class TestCommandLineFuzz:
     @example(case=(["units", "--g1=1e-300"], None))
     @example(case=(["oracle-twolevel", "--k-ratio=1e308", "--grid=2x2"], None))
     @example(case=(["emission", "--sweep=k-ratio", "--start=-1", "--end=1", "--steps=3"], None))
-    @example(case=(["steady", "--method=rk4", "--grid=8x8", "--r-over-c=1", "--t-max=1e300",
-                    "--dt=1e-10"], None))
+    @example(case=(["steady", "--method=rk4", "--grid=8x8", "--r-over-c=1", "--c1=1e10",
+                    "--t-max=1e300"], None))
     @example(case=(["emission", "--start=1", "--end=inf", "--steps=3"], None))
     @example(case=(["jc", "--g-ratio=1e160", "--steps=3"], None))
     @example(case=(["jc", f"--n1={10**400}", "--steps=3"], None))

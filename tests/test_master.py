@@ -22,7 +22,6 @@ from cascade_mazer.master import (
     JointDistribution,
     MazerConfig,
     SolverError,
-    StabilityError,
     TruncationError,
     apply_generator,
     build_gain_table,
@@ -102,9 +101,10 @@ class ReferenceFlows:
         return dp, leak
 
 
-def reference_rk4(cfg, gains, dt, t_max, tol):
-    """Textbook fixed-step RK4 from the vacuum on the reference flows."""
+def reference_rk4(cfg, gains, t_max, tol):
+    """Textbook RK4 from the vacuum on the reference flows, stepping at 1 / their max outflow."""
     flows = ReferenceFlows(cfg, gains)
+    dt = 1.0 / flows.outflow.max()
     p = JointDistribution.vacuum(cfg.n1_max, cfg.n2_max).p
     for step in range(math.ceil(t_max / dt)):
         k1, _ = flows.apply(p)
@@ -543,18 +543,13 @@ class TestRk4SteadyState:
         assert 0.0 < res.model_time <= 500.0
         assert res.dist.mass() == pytest.approx(1.0, abs=1e-6)
 
-    def test_large_step_hits_stability_guard(self):
-        with pytest.raises(StabilityError, match=r"> 2\.5; omit dt \(--dt\) for the default "
-                           r"step 1 / max outflow = .*, which keeps p nonnegative$"):
-            rk4_steady_state(config(n=32), dt=1.0)
-
     @pytest.mark.parametrize("c, t_max", [
         (5e-324, 500.0),  # 1 / max outflow overflows
         (1e-300, 1e-30),  # t_max / dt underflows to no step at all
     ])
     def test_refuses_a_default_step_with_no_step_count(self, c, t_max):
         cfg = config(r=c, n=8, c1_over_c=c, c2_over_c=c)
-        with pytest.raises(ValueError, match=r"^the default step 1 / max outflow = 1 / .* is not "
+        with pytest.raises(ValueError, match=r"^the RK4 step 1 / max outflow = 1 / .* is not "
                            r"finite or gives no step in t_max = .*; raise c1_over_c and "
                            r"c2_over_c \(--c1, --c2\)$"):
             rk4_steady_state(cfg, t_max=t_max)
@@ -564,6 +559,18 @@ class TestRk4SteadyState:
         with pytest.raises(ValueError, match=r"^t_max / dt = 1e\+300 / .* overflows the step "
                            r"count; lower t_max \(--t-max\)$"):
             rk4_steady_state(cfg, t_max=1e300)
+
+    def test_small_rates_are_not_taken_for_the_vacuum(self):
+        # |dP/dt| of the vacuum is 6.4e-15, below tol, but the steady state
+        # does not depend on the scale of the rates, so neither may the stop
+        cfg = config(r=1e-14, n=16, c1_over_c=1e-14, c2_over_c=1e-14)
+        with pytest.raises(ConvergenceError, match=r"^\|dP/dt\| = 6\.400e-15 after t_max = 500\.0, "
+                           r"above the threshold tol \* min\(1, max outflow\) = 3\.03e-25; "
+                           r"raise t_max or loosen tol$"):
+            rk4_steady_state(cfg)
+        res = rk4_steady_state(cfg, t_max=1e17)
+        assert res.iterations > 0
+        assert np.abs(res.dist.p - direct_steady_state(cfg).dist.p).sum() < 1e-9
 
     def test_short_horizon_fails_loudly(self):
         with pytest.raises(ConvergenceError):
@@ -601,30 +608,24 @@ class TestRk4SteadyState:
         assert "floored at the stationary leak rate 2.347e-09" in message
         assert "enlarge the photon grid or set tol above 2.347e-09" in message
 
-    @pytest.mark.parametrize("name", ["dt", "t_max", "tol"])
+    @pytest.mark.parametrize("name", ["t_max", "tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_settings(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             rk4_steady_state(config(n=8), **{name: value})
 
-    @pytest.mark.parametrize("name", ["dt", "t_max", "tol"])
+    @pytest.mark.parametrize("name", ["t_max", "tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_rejects_nonpositive_settings(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             rk4_steady_state(config(n=8), **{name: value})
 
-    def test_rejects_a_step_count_that_overflows(self):
-        # t_max / dt = inf: counting the steps would raise OverflowError
-        with pytest.raises(ValueError, match=r"t_max / dt = 1e\+300 / 1e-10 overflows the step "
-                           r"count; raise dt \(--dt\) or lower t_max \(--t-max\)$"):
-            rk4_steady_state(config(r=1.0, n=8), dt=1e-10, t_max=1e300)
-
     def test_matches_textbook_rk4_on_reference_flows(self):
         cfg = self.LEAKY
         gains = build_gain_table(cfg)
-        dt, t_max, tol = 0.02, 200.0, 1e-10
-        p, steps = reference_rk4(cfg, gains, dt, t_max, tol)
-        res = rk4_steady_state(cfg, dt=dt, t_max=t_max, tol=tol, gains=gains)
+        t_max, tol = 200.0, 1e-10
+        p, steps = reference_rk4(cfg, gains, t_max, tol)
+        res = rk4_steady_state(cfg, t_max=t_max, tol=tol, gains=gains)
         assert res.iterations == steps > 0
         assert np.abs(res.dist.p - p).max() < 1e-13
         # tail_leak is the leak rate of the returned p
@@ -635,7 +636,7 @@ class TestRk4SteadyState:
     def test_reports_the_tail_leak_of_the_direct_solve(self):
         # both solvers report the leak rate of their p; here RK4 stops with
         # |dP/dt| below 1e-10 and its leak is 9.2e-10 away, relative
-        res = rk4_steady_state(self.LEAKY, dt=0.02, t_max=200.0, tol=1e-10)
+        res = rk4_steady_state(self.LEAKY, t_max=200.0, tol=1e-10)
         leak = direct_steady_state(self.LEAKY).dist.tail_leak
         assert leak > 1e-11
         assert res.dist.tail_leak == pytest.approx(leak, rel=1e-8, abs=0.0)
@@ -917,7 +918,7 @@ class TestFluxBalance:
         gains = build_gain_table(cfg)
         solved = direct_steady_state(cfg, gains=gains)
         assert max(map(abs, flux_balance(cfg, gains, solved.dist.p))) < 1e-12
-        stepped = rk4_steady_state(cfg, dt=0.01, tol=1e-11, gains=gains)
+        stepped = rk4_steady_state(cfg, tol=1e-11, gains=gains)
         bound = (cfg.n1_max - 1) * stepped.residual + 1e-12
         assert max(map(abs, flux_balance(cfg, gains, stepped.dist.p))) < bound
 
