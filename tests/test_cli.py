@@ -412,6 +412,19 @@ class TestCommandLine:
         assert stepped["mean1"] == pytest.approx(solved["mean1"], rel=1e-9)
         assert (stepped["label1"], stepped["label2"]) == (solved["label1"], solved["label2"])
 
+    def test_rk4_accepts_the_leak_the_direct_solve_accepts(self, capsys):
+        # the top edge leaks 2.35e-9 per unit time: above tol, below the leak
+        # gate that both methods share
+        argv = ["steady", "--grid", "8x12", "--k-ratio", "0.08", "--kappa-l", "140",
+                "--g-ratio", "1.3", "--r-over-c", "0.3", "--c1", "0.5", "--c2", "1.3",
+                "--tol", "1e-10"]
+        assert main(argv) == 0
+        solved = parse_table(capsys.readouterr().out).meta["moments"]
+        assert main(argv + ["--method", "rk4"]) == 0
+        stepped = parse_table(capsys.readouterr().out).meta["moments"]
+        assert stepped["mean1"] == pytest.approx(solved["mean1"], rel=1e-6)
+        assert (stepped["label1"], stepped["label2"]) == (solved["label1"], solved["label2"])
+
     def test_config_file_step_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method = rk4\ndt = 0.002\n")

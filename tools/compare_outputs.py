@@ -54,6 +54,10 @@ OUTPUTS = (
     ("oracle-twolevel", ("oracle-twolevel", "--grid", "64x64", "--nb", "0.3")),
     ("steady", ("steady", "--grid", "40x30", "--r-over-c", "2", "--nb", "0.2", "--c1", "0.7")),
     ("steady-rk4", ("steady", "--grid", "24x24", "--r-over-c", "1", "--method", "rk4")),
+    # the top edge leaks 2.35e-9 per unit time, above tol and below the leak gate
+    ("steady-rk4-leaky", ("steady", "--grid", "8x12", "--k-ratio", "0.08", "--kappa-l", "140",
+                          "--g-ratio", "1.3", "--r-over-c", "0.3", "--c1", "0.5", "--c2", "1.3",
+                          "--tol", "1e-10", "--method", "rk4")),
     # gamma = 0 leaves mode 2 empty
     ("steady-gamma0", ("steady", "--g-ratio", "0", "--grid", "32x32", "--r-over-c", "5")),
     ("fig3a", ("preset", "fig3a")),
