@@ -385,8 +385,9 @@ def rk4_steady_state(
     |dP/dt|_1 - leak(p), falls below tol * min(1, max outflow): the steady
     state does not depend on the scale of the rates, so below a max outflow
     of 1 the threshold scales with them.  The leak rate is judged only by
-    _finalize's gate, as for the direct solve, and a grid that drains more
-    than TAIL_TOLERANCE of mass before it settles raises TruncationError.
+    the TAIL_TOLERANCE gate, as for the direct solve: a leak above it keeps
+    the stepper running, and a grid that drains more than TAIL_TOLERANCE of
+    mass before it settles raises TruncationError.
     residual is |dP/dt|_1 and tail_leak the leak rate of the returned p;
     the step used is model_time / iterations.
 
@@ -427,8 +428,10 @@ def rk4_steady_state(
         k = mat @ p
         residual = float(np.abs(k, out=stage).sum())
         # dP/dt sums to -leak(p), so residual - leak(p) is 2 sum max(dP/dt, 0),
-        # the in-grid part; the leak itself is judged by _finalize's gate.
-        if residual - gen.leak(p.reshape(gen.shape)) < threshold:
+        # the in-grid part; the leak itself is judged by _finalize's gate, which
+        # refuses one above TAIL_TOLERANCE, so it is computed only below that.
+        if (residual < threshold + TAIL_TOLERANCE
+                and residual - gen.leak(p.reshape(gen.shape)) < threshold):
             return SteadyStateResult(
                 dist=_finalize(gen, p.reshape(gen.shape)),
                 method="rk4",
