@@ -589,11 +589,24 @@ class TestRk4SteadyState:
                           beam=CavityBeam(k_ratio=0.08, kappa_l=140.0, gamma=1.3),
                           n1_max=8, n2_max=12, c1_over_c=0.5, c2_over_c=1.3)
 
-    def test_a_leak_above_tol_does_not_keep_the_stepper_running(self):
-        cfg = self.FLOORED
+    def test_residual_floored_at_the_leak_asks_for_a_larger_grid(self):
         # a shorter run still asks for a longer one
         with pytest.raises(ConvergenceError, match="raise t_max"):
-            rk4_steady_state(cfg, tol=1e-10, t_max=30.0)
+            rk4_steady_state(self.FLOORED, tol=1e-10, t_max=30.0)
+        # two photon states fewer in mode 1 leak 1.29e-6 per unit time, above
+        # the leak gate: the direct solve refuses the grid, and RK4's residual,
+        # floored at that leak, never stops it before the mass drifts away
+        cfg = MazerConfig(r_over_c=0.3, nb1=0.0, nb2=0.0, beam=self.FLOORED.beam,
+                          n1_max=6, n2_max=12, c1_over_c=0.5, c2_over_c=1.3)
+        with pytest.raises(TruncationError, match=r"^tail leak 1\.287e-06 exceeds 1e-06; "
+                           r"enlarge the photon grid$"):
+            direct_steady_state(cfg)
+        with pytest.raises(TruncationError, match=r"mass drifted .* at t = 4\.19.*"
+                           r"the grid is leaking$"):
+            rk4_steady_state(cfg, tol=1e-10, t_max=1000.0)
+
+    def test_long_run_at_the_leak_floor_is_not_a_leaking_grid(self):
+        cfg = self.FLOORED
         # |dP/dt| stays above the leak rate, but its in-grid part falls below
         # tol at t = 39, and any longer t_max stops there too
         res = rk4_steady_state(cfg, tol=1e-10, t_max=100.0)
