@@ -15,8 +15,10 @@ geometric steady state.
 
 Each flow moves probability by a fixed offset in the flattened grid, so the
 generator is one DIA matrix, each flow's rates written straight into its own
-row of the DIA data; the time stepper applies it as built.  The gain table is
-filled block by block, so neither costs much more memory than it keeps.  The
+row of the DIA data; the time stepper scales the data of its own generator by
+the step once and adds each stage onto a copy of p with scipy's DIA kernel.
+The gain table is filled block by block, so neither costs much more memory
+than it keeps.  The
 direct solve pins the vacuum instead of adding a dense normalization row,
 orders the grid by nested dissection (built once per grid shape), assembles
 the pinned system in that order straight from the DIA diagonals and
@@ -244,10 +246,13 @@ def build_gain_table(cfg: MazerConfig) -> GainTable:
 class _RateGenerator:
     """The rate equation as one DIA matrix acting on p.ravel().
 
-    matrix holds every in-grid flow, one diagonal per flow that is on, and is
-    shared: do not modify it.  The gain flows that leave the top of the grid
-    have no row to land in and are returned as the leak rate, a dot product
-    of their rates with the edge entries of p.  Rates that overflow double
+    matrix holds every in-grid flow, one diagonal per flow that is on.  Only
+    the solver that built the generator may modify it: rk4_steady_state
+    scales its data by the step h in place once it has read max_outflow.
+    The gain flows that leave the top of the grid have no row to land in and
+    are returned as the leak rate, a dot product of their rates with the
+    edge entries of p, kept apart from matrix so that scaling it leaves the
+    leak as it is.  Rates that overflow double
     precision are refused: every rate is part of some state's outflow.
     """
 
@@ -335,6 +340,20 @@ class _RateGenerator:
         return float(self._edge_top @ p[-1, :] + self._edge_right @ p[:-1, -1])
 
 
+def _dia_kernel(mat: sp.dia_matrix):
+    """add(data, x, y): y += D x in place, D the DIA matrix of mat's shape and offsets with data.
+
+    scipy's own DIA kernel, the one mat @ x runs on a zeroed y, so a stage
+    costs no result allocation and no separate add pass.  data, x and y must
+    be C-contiguous float64 arrays; data has mat.data's shape.
+    """
+    from scipy.sparse._sparsetools import dia_matvec
+
+    return functools.partial(
+        dia_matvec, *mat.shape, mat.offsets.size, mat.data.shape[1], mat.offsets
+    )
+
+
 def apply_generator(
     cfg: MazerConfig, gains: GainTable, p: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -388,17 +407,23 @@ def rk4_steady_state(
     the TAIL_TOLERANCE gate, as for the direct solve: a leak above it keeps
     the stepper running, and a grid that drains more than TAIL_TOLERANCE of
     mass before it settles raises TruncationError.
-    residual is |dP/dt|_1 and tail_leak the leak rate of the returned p;
-    the step used is model_time / iterations.
+    residual is |hAp|_1 / h, |dP/dt|_1 up to round-off, and tail_leak the
+    leak rate of the returned p; the step used is model_time / iterations.
 
     On p' = Ap the classic step is p + hA(p + h/2 A(p + h/3 A(p + h/4 Ap))),
     R(hA) p with R the degree-4 Taylor polynomial of exp.  The step is
-    h = 1 / max outflow.  A = N - D with N >= 0 off the diagonal, so R(hA)
-    is entrywise nonnegative when h max D <= 1, the radius of absolute
-    monotonicity of RK4 (Bolley & Crouzeix, RAIRO Anal. Numer. 12, 237
-    (1978); Kraaijevanger, BIT 31, 482 (1991)): p stays nonnegative.  Every
-    Gershgorin disc of hA then lies in |z + 1| <= 1, inside RK4's stability
-    region, so the step is also stable.
+    h = 1 / max outflow.  The generator's DIA data is scaled to hA once, and
+    hA/3 is its one copy.  The first kernel pass adds hAp onto zeros and also
+    gives the residual; each later stage is a copy of p onto which scipy's
+    DIA kernel adds hA/3 or hA times the previous stage, scaled on the vector
+    by the exact 1/4 or 1/2, and the last stage adds straight onto p.
+
+    A = N - D with N >= 0 off the diagonal, so R(hA) is entrywise
+    nonnegative when h max D <= 1, the radius of absolute monotonicity of
+    RK4 (Bolley & Crouzeix, RAIRO Anal. Numer. 12, 237 (1978); Kraaijevanger,
+    BIT 31, 482 (1991)): p stays nonnegative.  Every Gershgorin disc of hA
+    then lies in |z + 1| <= 1, inside RK4's stability region, so the step is
+    also stable.
     """
     _require_positive("t_max", t_max)
     _require_positive("tol", tol)
@@ -419,14 +444,20 @@ def rk4_steady_state(
         )
     threshold = tol * min(1.0, rate_scale)
 
-    mat = gen.matrix
+    # The generator is this call's own, so its data becomes hA in place; hA/3
+    # is the one copy, and the exact factors 1/4 and 1/2 go on vectors.
+    h_a = gen.matrix.data
+    h_a *= dt
+    h_a_third = h_a / 3.0
+    add_product = _dia_kernel(gen.matrix)
     p = JointDistribution.vacuum(*gen.shape).p.ravel()
-    stage = np.empty_like(p)
+    k, stage = np.empty_like(p), np.empty_like(p)
     steps = int(math.ceil(t_max / dt))
     residual = math.inf
     for step in range(steps):
-        k = mat @ p
-        residual = float(np.abs(k, out=stage).sum())
+        k.fill(0.0)
+        add_product(h_a, p, k)
+        residual = float(np.abs(k, out=stage).sum()) / dt
         # dP/dt sums to -leak(p), so residual - leak(p) is 2 sum max(dP/dt, 0),
         # the in-grid part; the leak itself is judged by _finalize's gate, which
         # refuses one above TAIL_TOLERANCE, so it is computed only below that.
@@ -439,12 +470,14 @@ def rk4_steady_state(
                 model_time=step * dt,
                 residual=residual,
             )
-        for divisor in (4.0, 3.0, 2.0):
-            np.multiply(k, dt / divisor, out=stage)
-            stage += p
-            k = mat @ stage
-        k *= dt
-        p += k
+        k *= 0.25
+        k += p  # p + hAp/4
+        np.copyto(stage, p)
+        add_product(h_a_third, k, stage)  # p + hA/3 k
+        stage *= 0.5
+        np.copyto(k, p)
+        add_product(h_a, stage, k)  # p + hA/2 stage
+        add_product(h_a, k, p)  # p + hA k
         if p.min() < -1e-9:
             raise SolverError(
                 f"distribution went negative (min {p.min():.3e}) at "

@@ -29,6 +29,7 @@ from cascade_mazer.master import (
     rk4_steady_state,
     twolevel_detailed_balance,
     _RateGenerator,
+    _dia_kernel,
     _dissection,
     _pinned_solve,
     _pinned_system,
@@ -519,6 +520,36 @@ class TestApplyGenerator:
                 assert np.abs(dia @ p.ravel() - want_dp.ravel()).max() < 1e-13
                 assert np.abs(csr @ p.ravel() - want_dp.ravel()).max() < 1e-13
 
+    @pytest.mark.parametrize("n1, n2, nb2, pair, diagonals", [
+        (12, 12, 0.0, 0.0, 4),
+        (11, 6, 0.0, 0.0, 4),
+        (13, 13, 0.0, 5.0, 5),
+        (9, 14, 0.0, 5.0, 5),
+        (14, 14, 0.6, 5.0, 6),
+        (15, 9, 0.6, 5.0, 6),
+    ])
+    def test_dia_kernel_adds_the_product_onto_y(self, n1, n2, nb2, pair, diagonals):
+        # RK4 adds each stage onto a copy of p with scipy's private DIA
+        # kernel; a scipy release that renames it or changes what it computes
+        # fails here by name
+        rng = np.random.default_rng(n1 * n2 + diagonals)
+        cfg = MazerConfig(r_over_c=50.0, nb1=0.3, nb2=nb2, beam=PLATEAU_BEAM,
+                          n1_max=n1, n2_max=n2, c1_over_c=0.7, c2_over_c=1.3)
+        gains = GainTable(g_b1=rng.random((n1, n2)), g_b2=pair * rng.random((n1, n2)))
+        mat = _RateGenerator(cfg, gains).matrix
+        assert mat.offsets.size == diagonals
+        for _ in range(3):
+            x, y = rng.random(n1 * n2), rng.random(n1 * n2)
+            want = mat @ x + y
+            scale = (abs(mat) @ x + y).max()
+            got = y.copy()
+            _dia_kernel(mat)(mat.data, x, got)
+            assert np.abs(got - want).max() <= 1e-15 * scale
+            # a scaled copy of the data acts as the scaled matrix
+            got = y.copy()
+            _dia_kernel(mat)(mat.data / 3.0, x, got)
+            assert np.abs(got - (mat @ x / 3.0 + y)).max() <= 1e-15 * scale
+
 
 class TestRk4SteadyState:
     # a grid that leaks 2.95e-11 per unit time, which RK4 resolves at tol 1e-10
@@ -647,6 +678,20 @@ class TestRk4SteadyState:
         _, leak = ReferenceFlows(cfg, gains).apply(res.dist.p)
         assert leak > 0.0
         assert res.dist.tail_leak == pytest.approx(leak, rel=1e-14, abs=0.0)
+
+    def test_repeated_calls_on_one_gain_table_agree_and_keep_it(self):
+        # RK4 scales its own generator's rates by the step in place; the gain
+        # table it was built from, and so a second call, must not see that
+        cfg = self.LEAKY
+        gains = build_gain_table(cfg)
+        g_b1, g_b2 = gains.g_b1.copy(), gains.g_b2.copy()
+        first = rk4_steady_state(cfg, t_max=200.0, tol=1e-10, gains=gains)
+        second = rk4_steady_state(cfg, t_max=200.0, tol=1e-10, gains=gains)
+        assert np.array_equal(gains.g_b1, g_b1) and np.array_equal(gains.g_b2, g_b2)
+        assert (second.iterations, second.model_time, second.residual) == (
+            first.iterations, first.model_time, first.residual)
+        assert second.dist.tail_leak == first.dist.tail_leak
+        assert np.array_equal(second.dist.p, first.dist.p)
 
     def test_reports_the_tail_leak_of_the_direct_solve(self):
         # both solvers report the leak rate of their p; here RK4 stops at
