@@ -18,12 +18,11 @@ generator is one DIA matrix, each flow's rates written straight into its own
 row of the DIA data; the time stepper scales the data of its own generator by
 the step once and adds each stage onto a copy of p with scipy's DIA kernel.
 The gain table is filled block by block, so neither costs much more memory
-than it keeps.  The
-direct solve pins the vacuum instead of adding a dense normalization row,
-orders the grid by nested dissection (built once per grid shape), assembles
-the pinned system in that order straight from the DIA diagonals and
-factorizes without row swaps, which the M-matrix structure of the pinned
-generator makes stable.
+than it keeps.  The direct solve pins the vacuum instead of adding a dense
+normalization row, orders the grid by nested dissection (built once per grid
+shape), assembles the pinned system in that order straight from the DIA
+diagonals and factorizes without row swaps, which the M-matrix structure of
+the pinned generator makes stable.
 
 scipy.sparse is imported by the solvers on first use, not with the module:
 it is most of the package's import time, and only the steady-state solves
@@ -471,13 +470,13 @@ def rk4_steady_state(
                 residual=residual,
             )
         k *= 0.25
-        k += p  # p + hAp/4
+        k += p  # s1 = p + hAp/4
         np.copyto(stage, p)
-        add_product(h_a_third, k, stage)  # p + hA/3 k
+        add_product(h_a_third, k, stage)  # s2 = p + hA/3 s1
         stage *= 0.5
         np.copyto(k, p)
-        add_product(h_a, stage, k)  # p + hA/2 stage
-        add_product(h_a, k, p)  # p + hA k
+        add_product(h_a, stage, k)  # s3 = p + hA (s2/2)
+        add_product(h_a, k, p)  # p + hA s3
         if p.min() < -1e-9:
             raise SolverError(
                 f"distribution went negative (min {p.min():.3e}) at "

@@ -538,16 +538,17 @@ class TestApplyGenerator:
         gains = GainTable(g_b1=rng.random((n1, n2)), g_b2=pair * rng.random((n1, n2)))
         mat = _RateGenerator(cfg, gains).matrix
         assert mat.offsets.size == diagonals
+        add_product = _dia_kernel(mat)
         for _ in range(3):
             x, y = rng.random(n1 * n2), rng.random(n1 * n2)
             want = mat @ x + y
             scale = (abs(mat) @ x + y).max()
             got = y.copy()
-            _dia_kernel(mat)(mat.data, x, got)
+            add_product(mat.data, x, got)
             assert np.abs(got - want).max() <= 1e-15 * scale
             # a scaled copy of the data acts as the scaled matrix
             got = y.copy()
-            _dia_kernel(mat)(mat.data / 3.0, x, got)
+            add_product(mat.data / 3.0, x, got)
             assert np.abs(got - (mat @ x / 3.0 + y)).max() <= 1e-15 * scale
 
 
@@ -692,6 +693,18 @@ class TestRk4SteadyState:
             first.iterations, first.model_time, first.residual)
         assert second.dist.tail_leak == first.dist.tail_leak
         assert np.array_equal(second.dist.p, first.dist.p)
+
+    def test_peak_memory_at_fig4a_256(self):
+        # t_max = 0.007 is four steps at a max outflow of 526; they raised a
+        # fresh interpreter's peak RSS by 7.7 MB: RK4's assembly, its step
+        # data hA and the one copy hA/3 (2.6 MB each) and two stage buffers.
+        # One more DIA-sized array read 10.1 MB
+        code = (f"import runpy; measure = runpy.run_path({str(TOOLS / 'solver_memory.py')!r})"
+                "['measure_rk4']; print(measure(256, 0.007))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout.split()[-1]) < 9.0
 
     def test_reports_the_tail_leak_of_the_direct_solve(self):
         # both solvers report the leak rate of their p; here RK4 stops at

@@ -1,4 +1,4 @@
-"""Peak-memory rise of the assembly, and cost of the pinned direct solve, on large grids.
+"""Peak-memory rise of the assembly, the pinned direct solve and RK4 on large grids.
 
 Run from the root of a checkout:
 
@@ -6,13 +6,16 @@ Run from the root of a checkout:
 
 For each N (by default 128, 256, 384 and 512) a fresh interpreter first
 builds the fig4a gain table and generator on an N x N grid and reads how far
-that raises the process's peak RSS (`ru_maxrss`), beside the bytes the two
-keep.  It then builds the pinned system, times one `master._pinned_solve` and
-reads how far the solve raises the peak RSS.  A factorisation with the same
+that raises the process's peak RSS (Linux's `VmHWM`, else `ru_maxrss`),
+beside the bytes the two keep.  It then builds the pinned system, times one
+`master._pinned_solve` and reads how far the solve raises the peak RSS.  A factorisation with the same
 SuperLU settings, made after that reading, gives the L+U fill.
 `_pinned_solve` does not check `MAX_DIRECT_STATES` (`direct_steady_state`
-does), so grids above 256^2 run too.  One grid at a time: 512^2 peaks near
-0.5 GB.
+does), so grids above 256^2 run too.  A second fresh interpreter runs
+`rk4_steady_state` on the same grid for RK4_STEPS steps, by a t_max that
+ends it with ConvergenceError, and reads how far that raises the peak RSS:
+RK4's own assembly, its scaled step data and its stage buffers.  One grid at
+a time: 512^2 peaks near 0.5 GB.
 """
 
 from __future__ import annotations
@@ -31,8 +34,24 @@ from cascade_mazer import cli, master  # noqa: E402
 
 GRIDS = (128, 256, 384, 512)
 
+# RK4 steps in the memory reading; every step uses the same buffers.
+RK4_STEPS = 4
+
 
 def _peak_mb() -> float:
+    """This process's peak RSS in MB: Linux's VmHWM, else ru_maxrss.
+
+    Linux keeps ru_maxrss across exec, so in a process started by a larger
+    one (a test run under pytest) it holds the starter's peak, and a rise
+    read from it comes out too low or zero.  VmHWM starts afresh at exec.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
@@ -70,8 +89,26 @@ def measure(n: int) -> dict:
     seconds = time.perf_counter() - start
     rise = _peak_mb() - before
     factor = spla.splu(pinned, permc_spec="NATURAL", panel_size=master._SUPERLU_PANEL)
-    row.update(n=n, solve_s=seconds, fill=factor.nnz, base_mb=before, rise_mb=rise)
+    row.update(n=n, solve_s=seconds, fill=factor.nnz, base_mb=before, rise_mb=rise,
+               max_outflow=gen.max_outflow())
     return row
+
+
+def measure_rk4(n: int, t_max: float) -> float:
+    """How far RK4 on a fig4a n x n grid, stopped at t_max, raises the peak RSS, in MB.
+
+    Call it in a fresh process, with a t_max too short to converge.
+    """
+    import scipy.sparse  # noqa: F401  (loaded by a first solve; not part of the reading)
+
+    args = cli._preset_args("fig4a", grid=(n, n))
+    cfg = cli._mazer_config(args, args.g_ratio)
+    before = _peak_mb()
+    try:
+        master.rk4_steady_state(cfg, t_max=t_max)
+    except master.ConvergenceError:
+        return _peak_mb() - before
+    raise RuntimeError(f"RK4 converged on {n}x{n} within t_max = {t_max:g}")
 
 
 def main() -> int:
@@ -80,15 +117,19 @@ def main() -> int:
                         help="grid sides to measure (default: %(default)s)")
     args = parser.parse_args()
     print(f"{'grid':>9} {'asm MB':>7} {'kept MB':>8} {'solve s':>8} {'L+U fill':>10} "
-          f"{'base MB':>8} {'rise MB':>8}")
+          f"{'base MB':>8} {'rise MB':>8} {'rk4 MB':>7}")
     spawn = multiprocessing.get_context("spawn")
     for n in args.grids:
         # a fresh interpreter per grid, so no earlier solve sets its peak
         with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
             row = pool.submit(measure, n).result()
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            # RK4 takes ceil(t_max / dt) steps of dt = 1 / max outflow
+            t_max = (RK4_STEPS - 0.5) / row["max_outflow"]
+            rk4_mb = pool.submit(measure_rk4, n, t_max).result()
         print(f"{n:>4}x{n:<4} {row['assembly_mb']:7.1f} {row['kept_mb']:8.1f} "
               f"{row['solve_s']:8.3f} {row['fill']:10d} {row['base_mb']:8.1f} "
-              f"{row['rise_mb']:8.1f}", flush=True)
+              f"{row['rise_mb']:8.1f} {rk4_mb:7.1f}", flush=True)
     return 0
 
 
