@@ -20,9 +20,9 @@ the step once and adds each stage onto a copy of p with scipy's DIA kernel.
 The gain table is filled block by block, so neither costs much more memory
 than it keeps.  The direct solve pins the vacuum instead of adding a dense
 normalization row, orders the grid by nested dissection (built once per grid
-shape), assembles the pinned system in that order straight from the DIA
-diagonals and factorizes without row swaps, which the M-matrix structure of
-the pinned generator makes stable.
+shape), assembles the pinned system from the generator's non-zeros relabelled
+by dissection position and factorizes without row swaps, which the M-matrix
+structure of the pinned generator makes stable.
 
 scipy.sparse is imported by the solvers on first use, not with the module:
 it is most of the package's import time, and only the steady-state solves
@@ -408,6 +408,8 @@ def rk4_steady_state(
     mass before it settles raises TruncationError.
     residual is |hAp|_1 / h, |dP/dt|_1 up to round-off, and tail_leak the
     leak rate of the returned p; the step used is model_time / iterations.
+    The stop compares residual - tail_leak, so a converged result can report
+    a residual above tol when the grid leaks.
 
     On p' = Ap the classic step is p + hA(p + h/2 A(p + h/3 A(p + h/4 Ap))),
     R(hA) p with R the degree-4 Taylor polynomial of exp.  The step is
@@ -522,13 +524,14 @@ def _dissection(n1_max: int, n2_max: int) -> tuple[np.ndarray, np.ndarray]:
     last, and a block of at most _DISSECTION_LEAF states is one leaf.
     Fill-in from eliminating a half then stays inside that half and its
     separator (A. George, SIAM J. Numer. Anal. 10, 345 (1973)).  Built once
-    per grid shape; both cached arrays are read-only.
+    per grid shape; both cached arrays are read-only and int32, the index
+    type of the sparse matrices they relabel.
     """
     parts = []
-    _dissect(np.arange(n1_max * n2_max).reshape(n1_max, n2_max), parts)
+    _dissect(np.arange(n1_max * n2_max, dtype=np.int32).reshape(n1_max, n2_max), parts)
     order = np.concatenate(parts)
     position = np.empty_like(order)
-    position[order] = np.arange(order.size)
+    position[order] = np.arange(order.size, dtype=np.int32)
     order.flags.writeable = False
     position.flags.writeable = False
     return order, position
@@ -551,34 +554,24 @@ def _pinned_system(gen: _RateGenerator) -> tuple[sp.csc_matrix, np.ndarray]:
     accuracy: fig4b at 128x128 has p[0, 0] = 8.0e-16, which moved by 1.3e-2
     between two dissection orders.
 
-    Row r holds the flows into state order[r], read straight from the
-    generator's diagonals, each column mapped to its source state's position.
+    The matrix is the generator's non-zeros off the vacuum's row, plus the
+    pin, relabelled by dissection position; the CSC conversion sorts each
+    column's rows.
     """
     import scipy.sparse as sp
 
-    mat = gen.matrix
-    n_states = mat.shape[0]
-    order, position = _dissection(*gen.shape)
-    # Entry k of row r is the flow from state order[r] + offsets[k].
-    source = order[:, None] + mat.offsets
-    inside = (source >= 0) & (source < n_states)
-    source[~inside] = 0
-    rates = mat.data[np.arange(mat.offsets.size), source]
-    kept = inside & (rates != 0)
+    flows = gen.matrix.tocoo()  # drops the zeros
+    _, position = _dissection(*gen.shape)
     # The vacuum's row becomes the pin alone.  Its outflow is the pivot unless
     # that is subnormal (or zero), whose reciprocal would overflow: then 1.
-    outflow = -mat.diagonal()[0]
+    outflow = -gen.matrix.diagonal()[0]
     scale = outflow if outflow >= np.finfo(float).tiny else 1.0
     pin = position[0]
-    kept[pin] = mat.offsets == 0
-    rates[pin, mat.offsets == 0] = scale
-    # The rows come in order, so tocsc leaves each column's rows sorted.
-    indptr = np.zeros(n_states + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
-    pinned = sp.csr_matrix(
-        (rates[kept], position[source[kept]], indptr), shape=mat.shape
-    ).tocsc()
-    rhs = np.zeros(n_states)
+    kept = flows.row != 0
+    rows = np.append(position[flows.row[kept]], pin)
+    cols = np.append(position[flows.col[kept]], pin)
+    pinned = sp.csc_matrix((np.append(flows.data[kept], scale), (rows, cols)), shape=flows.shape)
+    rhs = np.zeros(flows.shape[0])
     rhs[pin] = scale
     return pinned, rhs
 

@@ -834,23 +834,34 @@ class TestDirectSteadyState:
         # entry by entry; states the pump and baths never reach are exactly zero
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
-    # (nb, gamma, c2/C): six diagonals, five without the up-flows, five
-    # without the pair gain, and unequal damping
-    @pytest.mark.parametrize("nb, gamma, c2", [
-        (0.3, 2.0, 1.0), (0.0, 2.0, 1.0), (0.3, 0.0, 1.0), (0.2, 1.0, 0.6),
+    # (nb, gamma, c2/C, kappa L, diagonals): six diagonals, five without the
+    # up-flows, five without the pair gain, unequal damping, and a silent beam
+    # with no up-flows, whose three diagonals give the vacuum no outflow, so
+    # its pin has scale 1 and the generator has no (0, 0) entry.  Each id
+    # names the case's (nb, gamma, c2/C).
+    @pytest.mark.parametrize("nb, gamma, c2, kappa_l, diagonals", [
+        pytest.param(0.3, 2.0, 1.0, 20000.0 * math.pi, 6, id="0.3-2.0-1.0"),
+        pytest.param(0.0, 2.0, 1.0, 20000.0 * math.pi, 5, id="0.0-2.0-1.0"),
+        pytest.param(0.3, 0.0, 1.0, 20000.0 * math.pi, 5, id="0.3-0.0-1.0"),
+        pytest.param(0.2, 1.0, 0.6, 20000.0 * math.pi, 6, id="0.2-1.0-0.6"),
+        pytest.param(0.0, 2.0, 1.0, 0.0, 3, id="silent"),
     ])
     @pytest.mark.parametrize("shape", [(9, 14), (2, 300), (16, 16)])
-    def test_pinned_system_matches_parent_construction(self, shape, nb, gamma, c2):
-        beam = CavityBeam(k_ratio=0.5, kappa_l=20000.0 * math.pi, gamma=gamma)
+    def test_pinned_system_matches_parent_construction(
+        self, shape, nb, gamma, c2, kappa_l, diagonals
+    ):
+        beam = CavityBeam(k_ratio=0.5, kappa_l=kappa_l, gamma=gamma)
         cfg = MazerConfig(r_over_c=0.3, nb1=nb, nb2=nb, beam=beam, n1_max=shape[0],
                           n2_max=shape[1], c2_over_c=c2)
         gen = _RateGenerator(cfg, build_gain_table(cfg))
-        assert len(gen.matrix.offsets) == 6 - (nb == 0.0) - (gamma == 0.0)
+        assert len(gen.matrix.offsets) == diagonals
         want, want_rhs = parent_pinned_system(gen.matrix, shape)
         got, rhs = _pinned_system(gen)
         assert got.format == "csc"
         for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            got_array, want_array = getattr(got, name), getattr(want, name)
+            assert got_array.dtype == want_array.dtype, name
+            assert np.array_equal(got_array, want_array), name
         assert np.array_equal(rhs, want_rhs)
 
     def test_dissection_order_is_cached_read_only(self):
@@ -859,6 +870,7 @@ class TestDirectSteadyState:
         order, position = cached
         assert np.array_equal(position[order], np.arange(35))
         for cached in (order, position):
+            assert cached.dtype == np.int32
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1
 

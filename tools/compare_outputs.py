@@ -60,6 +60,8 @@ OUTPUTS = (
                           "--tol", "1e-10", "--method", "rk4")),
     # gamma = 0 leaves mode 2 empty
     ("steady-gamma0", ("steady", "--g-ratio", "0", "--grid", "32x32", "--r-over-c", "5")),
+    # a silent beam and empty baths: the vacuum has no outflow, so its pin has scale 1
+    ("steady-silent", ("steady", "--kappa-l", "0", "--grid", "12x12")),
     ("fig3a", ("preset", "fig3a")),
     ("fig3b", ("preset", "fig3b")),
     ("emission-k-ratio", ("emission", "--sweep", "k-ratio", "--start", "0.05", "--end", "3",
