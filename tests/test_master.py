@@ -837,7 +837,7 @@ class TestDirectSteadyState:
     # (nb, gamma, c2/C, kappa L, diagonals): six diagonals, five without the
     # up-flows, five without the pair gain, unequal damping, and a silent beam
     # with no up-flows, whose three diagonals give the vacuum no outflow, so
-    # its pin has scale 1 and the generator has no (0, 0) entry.  Each id
+    # its pin has scale 1 and its non-zeros have no (0, 0) entry.  Each id
     # names the case's (nb, gamma, c2/C).
     @pytest.mark.parametrize("nb, gamma, c2, kappa_l, diagonals", [
         pytest.param(0.3, 2.0, 1.0, 20000.0 * math.pi, 6, id="0.3-2.0-1.0"),
