@@ -531,7 +531,7 @@ def _dissection(n1_max: int, n2_max: int) -> tuple[np.ndarray, np.ndarray]:
     _dissect(np.arange(n1_max * n2_max, dtype=np.int32).reshape(n1_max, n2_max), parts)
     order = np.concatenate(parts)
     position = np.empty_like(order)
-    position[order] = np.arange(order.size, dtype=np.int32)
+    position[order] = np.arange(order.size)
     order.flags.writeable = False
     position.flags.writeable = False
     return order, position
