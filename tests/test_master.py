@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -17,20 +18,24 @@ from hypothesis import strategies as st
 
 from cascade_mazer import cli
 from cascade_mazer.master import (
+    TAIL_TOLERANCE,
     ConvergenceError,
     GainTable,
     JointDistribution,
     MazerConfig,
     SolverError,
+    SteadyStateResult,
     TruncationError,
     apply_generator,
     build_gain_table,
     direct_steady_state,
     rk4_steady_state,
     twolevel_detailed_balance,
+    _RK4_BLOCK,
     _RateGenerator,
     _dia_kernel,
     _dissection,
+    _finalize,
     _pinned_solve,
     _pinned_system,
 )
@@ -204,6 +209,69 @@ def parent_rate_matrix(cfg: MazerConfig, gains: GainTable) -> tuple[list[int], n
     return list(offsets), np.stack(
         [np.broadcast_to(rate, (n1_max, n2_max)).ravel() for rate in rates]
     )
+
+
+def parent_rk4_steady_state(cfg: MazerConfig, *, t_max: float, tol: float,
+                            gains: GainTable | None = None) -> SteadyStateResult:
+    """RK4 with the stop test and the guards at every step, as the reference for the blocks.
+
+    The earlier loop: each step zeroes k, adds hAp onto it with all diagonals,
+    takes the residual and the stop test, runs the later stages and checks p
+    for negatives and a drifted mass.
+    """
+    gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
+    rate_scale = gen.max_outflow()
+    dt = 1.0 / rate_scale
+    threshold = tol * min(1.0, rate_scale)
+    h_a = gen.matrix.data
+    h_a *= dt
+    h_a_third = h_a / 3.0
+    add_product = _dia_kernel(gen.matrix)
+    p = JointDistribution.vacuum(*gen.shape).p.ravel()
+    k, stage = np.empty_like(p), np.empty_like(p)
+    residual = math.inf
+    for step in range(int(math.ceil(t_max / dt))):
+        k.fill(0.0)
+        add_product(h_a, p, k)
+        residual = float(np.abs(k, out=stage).sum()) / dt
+        if (residual < threshold + TAIL_TOLERANCE
+                and residual - gen.leak(p.reshape(gen.shape)) < threshold):
+            return SteadyStateResult(dist=_finalize(gen, p.reshape(gen.shape)), method="rk4",
+                                     iterations=step, model_time=step * dt, residual=residual)
+        k *= 0.25
+        k += p
+        np.copyto(stage, p)
+        add_product(h_a_third, k, stage)
+        stage *= 0.5
+        np.copyto(k, p)
+        add_product(h_a, stage, k)
+        add_product(h_a, k, p)
+        if p.min() < -1e-9:
+            raise SolverError(
+                f"distribution went negative (min {p.min():.3e}) at "
+                f"t = {(step + 1) * dt:.3f}, although the step 1 / max outflow keeps p "
+                "nonnegative; that is a fault in the rate generator, not in the settings"
+            )
+        mass = p.sum()
+        if not 1.0 - TAIL_TOLERANCE <= mass <= 1.0 + TAIL_TOLERANCE:
+            raise TruncationError(
+                f"probability mass drifted to {mass:.9f} at t = {(step + 1) * dt:.3f}; "
+                "the grid is leaking"
+            )
+    raise ConvergenceError(
+        f"|dP/dt| = {residual:.3e} after t_max = {t_max}, above the threshold "
+        f"tol * min(1, max outflow) = {threshold:.3g}; raise t_max or loosen tol"
+    )
+
+
+def rk4_outcome(solve, cfg: MazerConfig, gains: GainTable, **settings):
+    """What one RK4 solver gives: its result's numbers and p's bytes, or its error and text."""
+    try:
+        res = solve(cfg, gains=gains, **settings)
+    except SolverError as err:
+        return type(err), str(err)
+    return (res.iterations, res.model_time, res.residual, res.dist.tail_leak,
+            res.dist.p.dtype, res.dist.p.shape, res.dist.p.tobytes())
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -1105,3 +1173,70 @@ class TestOracleProperties:
         bound = 1e-12 + 100.0 * solved.dist.tail_leak
         assert np.abs(got1 - want1).sum() < bound
         assert np.abs(got2 - want2).sum() < bound
+
+
+class TestRk4Blocks:
+    """rk4_steady_state checks its stop and guards once per block of _RK4_BLOCK
+    steps and steps again, one check per step, through the block where one
+    fires; every result and error text must be the per-step reference's."""
+
+    @staticmethod
+    def same_as_reference(cfg, gains=None, **settings):
+        gains = build_gain_table(cfg) if gains is None else gains
+        want = rk4_outcome(parent_rk4_steady_state, cfg, gains, **settings)
+        assert rk4_outcome(rk4_steady_state, cfg, gains, **settings) == want
+        return want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cfg=small_configs(), tol=decades(-12, -6))
+    def test_random_configs_match_the_per_step_reference(self, cfg, tol):
+        self.same_as_reference(cfg, t_max=200.0, tol=tol)
+
+    # (config, tol, where the reference stops within its block of 32 steps)
+    @pytest.mark.parametrize("cfg, tol, in_block", [
+        pytest.param(config(beam=SILENT_BEAM, n=12), 1e-12, 0, id="silent-stops-at-step-0"),
+        pytest.param(TestRk4SteadyState.FLOORED, 1e-8, 0, id="floored-first-step"),
+        pytest.param(config(r=1.0, nb=0.1, n=16), 5.62e-7, 0, id="thermal-first-step"),
+        pytest.param(TestRk4SteadyState.LEAKY, 1.78e-7, 31, id="leaky-last-step"),
+        pytest.param(config(r=2.0, n=12), 5.62e-11, 31, id="plateau-last-step"),
+    ])
+    def test_stops_at_the_edges_of_a_block(self, cfg, tol, in_block):
+        iterations = self.same_as_reference(cfg, t_max=200.0, tol=tol)[0]
+        assert iterations % _RK4_BLOCK == in_block
+        assert iterations == 0 or iterations > _RK4_BLOCK
+
+    def test_t_max_inside_a_block(self):
+        cfg = TestRk4SteadyState.LEAKY
+        gains = build_gain_table(cfg)
+        steps = math.ceil(5.0 * _RateGenerator(cfg, gains).max_outflow())
+        assert steps > _RK4_BLOCK and steps % _RK4_BLOCK
+        error, text = self.same_as_reference(cfg, gains, t_max=5.0, tol=1e-10)
+        assert error is ConvergenceError and text.startswith("|dP/dt| = ")
+
+    def test_negative_p_from_a_corrupted_rate(self):
+        # a negative pair of rates slips past GainTable's check once it is built;
+        # p goes negative at step 43, in the second block
+        cfg = config(r=2.0, n=12)
+        gains = build_gain_table(cfg)
+        gains.g_b1[10, 5] = -20.0
+        error, text = self.same_as_reference(cfg, gains, t_max=200.0, tol=1e-10)
+        assert error is SolverError
+        assert re.match(r"distribution went negative \(min -1\.054e-09\) at t = 1\.943, ", text)
+
+    def test_mass_drift_of_a_leaking_grid(self):
+        cfg = MazerConfig(r_over_c=0.3, nb1=0.0, nb2=0.0, beam=TestRk4SteadyState.FLOORED.beam,
+                          n1_max=6, n2_max=12, c1_over_c=0.5, c2_over_c=1.3)
+        error, text = self.same_as_reference(cfg, t_max=1000.0, tol=1e-10)
+        assert error is TruncationError
+        assert re.match(r"probability mass drifted to .* at t = 4\.19", text)
+
+    def test_residual_at_its_round_off_floor(self):
+        # fig4a's beam with every rate scaled by 1e3: |dP/dt| stalls at its
+        # round-off floor above tol, and a block's end residual first rises
+        # at step 2 112, long before t_max
+        s = 1e3
+        cfg = MazerConfig(r_over_c=5.0 * s, nb1=0.0, nb2=0.0, beam=PLATEAU_BEAM,
+                          n1_max=32, n2_max=32, c1_over_c=s, c2_over_c=s)
+        error, text = self.same_as_reference(cfg, t_max=500.0 / s, tol=1e-12)
+        assert error is ConvergenceError
+        assert text.startswith("|dP/dt| = 6.559e-12 after t_max = 0.5, ")
