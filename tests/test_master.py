@@ -618,6 +618,10 @@ class TestApplyGenerator:
             got = y.copy()
             add_product(mat.data / 3.0, x, got)
             assert np.abs(got - (mat @ x / 3.0 + y)).max() <= 1e-15 * scale
+            # the diagonals after the first, onto the first one's product
+            got = y + sp.dia_matrix((mat.data[:1], mat.offsets[:1]), shape=mat.shape) @ x
+            _dia_kernel(mat, first=1)(mat.data[1:], x, got)
+            assert np.abs(got - want).max() <= 1e-15 * scale
 
 
 class TestRk4SteadyState:
@@ -1214,8 +1218,8 @@ class TestRk4Blocks:
         assert error is ConvergenceError and text.startswith("|dP/dt| = ")
 
     def test_negative_p_from_a_corrupted_rate(self):
-        # a negative pair of rates slips past GainTable's check once it is built;
-        # p goes negative at step 43, in the second block
+        # a negative one-photon rate, set after GainTable has checked its
+        # rates; p goes negative beyond round-off at step 43, in the second block
         cfg = config(r=2.0, n=12)
         gains = build_gain_table(cfg)
         gains.g_b1[10, 5] = -20.0

@@ -14,8 +14,8 @@ SuperLU settings, made after that reading, gives the L+U fill.
 does), so grids above 256^2 run too.  A second fresh interpreter runs
 `rk4_steady_state` on the same grid for RK4_STEPS steps, by a t_max that
 ends it with ConvergenceError, and reads how far that raises the peak RSS:
-RK4's own assembly, its scaled step data and its stage buffers.  One grid at
-a time: 512^2 peaks near 0.5 GB.
+RK4's own assembly, its scaled step data, its stage buffers and the saved
+start of a block.  One grid at a time: 512^2 peaks near 0.5 GB.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from cascade_mazer import cli, master  # noqa: E402
 
 GRIDS = (128, 256, 384, 512)
 
-# RK4 steps in the memory reading; every step uses the same buffers.
-RK4_STEPS = 4
+# RK4 steps in the memory reading: more than one block of master._RK4_BLOCK
+# steps, so that the block's saved start is in it; later steps reuse the buffers.
+RK4_STEPS = 40
 
 
 def _peak_mb() -> float:
