@@ -12,6 +12,10 @@ already imported and otherwise a lazy module that becomes numpy on its
 first attribute use.  So ``--version``, ``--help``, argument errors and
 ``units`` start without it.  A plain ``import numpy`` would load it at once,
 since the import statement reads the lazy module's ``__spec__``.
+
+``import cascade_mazer`` re-exports the ``__all__`` of ``jc``, ``master``,
+``scattering`` and ``stats`` (not ``units`` or ``cli``).  Each public name
+is declared once, in the ``__all__`` of the module that defines it.
 """
 
 import importlib.util
@@ -37,68 +41,10 @@ _numpy = _lazy_numpy()
 
 __version__ = "0.1.0"
 
-from .jc import JcInput, g1_tau_from_beam, jc_gain
-from .master import (
-    ConvergenceError,
-    GainTable,
-    JointDistribution,
-    MazerConfig,
-    SolverError,
-    SteadyStateResult,
-    TruncationError,
-    apply_generator,
-    build_gain_table,
-    direct_steady_state,
-    rk4_steady_state,
-    twolevel_detailed_balance,
-)
-from .scattering import (
-    BranchAmplitudes,
-    CavityBeam,
-    DressedCoefficients,
-    GainProbabilities,
-    ScatterChannels,
-    ScatterInput,
-    branch_amplitudes,
-    branch_wavenumbers,
-    dressed_coefficients,
-    gain_probabilities,
-    scatter_channels,
-    ultracold_approx,
-)
-from .stats import MomentSummary, classify, marginals, moments
+from . import jc, master, scattering, stats  # noqa: E402
+from .jc import *  # noqa: E402,F403
+from .master import *  # noqa: E402,F403
+from .scattering import *  # noqa: E402,F403
+from .stats import *  # noqa: E402,F403
 
-__all__ = [
-    "__version__",
-    "BranchAmplitudes",
-    "CavityBeam",
-    "ConvergenceError",
-    "DressedCoefficients",
-    "GainProbabilities",
-    "GainTable",
-    "JcInput",
-    "JointDistribution",
-    "MazerConfig",
-    "MomentSummary",
-    "ScatterChannels",
-    "ScatterInput",
-    "SolverError",
-    "SteadyStateResult",
-    "TruncationError",
-    "apply_generator",
-    "branch_amplitudes",
-    "branch_wavenumbers",
-    "build_gain_table",
-    "classify",
-    "direct_steady_state",
-    "dressed_coefficients",
-    "g1_tau_from_beam",
-    "gain_probabilities",
-    "jc_gain",
-    "marginals",
-    "moments",
-    "rk4_steady_state",
-    "scatter_channels",
-    "twolevel_detailed_balance",
-    "ultracold_approx",
-]
+__all__ = ["__version__", *jc.__all__, *master.__all__, *scattering.__all__, *stats.__all__]

@@ -44,13 +44,11 @@ from .units import DEFAULT_G1_RAD_PER_S, RB85_MASS_KG, PhysicalScale, physical_s
 
 __all__ = [
     "SweepSpec",
-    "PhysicalScale",
     "Table",
     "emission_sweep",
     "steady_sweep",
     "jc_sweep",
     "oracle_table",
-    "physical_scale",
     "units_table",
     "serialize",
     "parse_table",

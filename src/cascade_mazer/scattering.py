@@ -30,7 +30,6 @@ __all__ = [
     "branch_wavenumbers",
     "branch_amplitudes",
     "scatter_channels",
-    "channel_gains",
     "gain_probabilities",
     "ultracold_approx",
 ]

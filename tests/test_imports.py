@@ -1,4 +1,4 @@
-"""What a fresh interpreter imports.
+"""What a fresh interpreter imports, and the public names each module declares.
 
 numpy loads at the first numerical call: until then the package holds a lazy
 module, so --version, --help, argument errors and units start without it.
@@ -176,3 +176,51 @@ print(json.dumps({{"missing": missing}}))
 """
     assert traced
     assert fresh(code, tmp_path) == {"missing": []}
+
+
+# Prints each module's __all__ with the classes and functions in it that
+# another module defines, and the package's __all__ with the names in it
+# that do not resolve.
+_PUBLIC = """
+import importlib, json
+import cascade_mazer
+
+modules = {}
+for name in ("jc", "master", "scattering", "stats", "units", "cli"):
+    module = importlib.import_module(f"cascade_mazer.{name}")
+    public = [getattr(module, attr) for attr in module.__all__]
+    foreign = [attr for attr, obj in zip(module.__all__, public)
+               if callable(obj) and obj.__module__ != module.__name__]
+    modules[name] = {"all": list(module.__all__), "foreign": foreign}
+missing = [attr for attr in cascade_mazer.__all__ if not hasattr(cascade_mazer, attr)]
+print(json.dumps({"modules": modules, "package": list(cascade_mazer.__all__),
+                  "missing": missing}))
+"""
+
+
+@pytest.fixture(scope="module")
+def public(tmp_path_factory):
+    return fresh(_PUBLIC, tmp_path_factory.mktemp("public"))
+
+
+def test_each_module_declares_only_what_it_defines(public):
+    foreign = {name: module["foreign"] for name, module in public["modules"].items()}
+    assert foreign == dict.fromkeys(public["modules"], [])
+
+
+def test_no_name_is_declared_by_two_modules(public):
+    owners = {}
+    for name, module in public["modules"].items():
+        for attr in module["all"]:
+            owners.setdefault(attr, []).append(name)
+    assert {attr: names for attr, names in owners.items() if len(names) > 1} == {}
+
+
+def test_the_package_re_exports_four_modules_lists(public):
+    modules = public["modules"]
+    want = ["__version__",
+            *(attr for name in ("jc", "master", "scattering", "stats")
+              for attr in modules[name]["all"])]
+    assert public["package"] == want
+    assert len(set(want)) == len(want)
+    assert public["missing"] == []

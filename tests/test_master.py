@@ -767,16 +767,24 @@ class TestRk4SteadyState:
         assert np.array_equal(second.dist.p, first.dist.p)
 
     def test_peak_memory_at_fig4a_256(self):
-        # t_max = 0.007 is four steps at a max outflow of 526; they raised a
-        # fresh interpreter's peak RSS by 7.7 MB: RK4's assembly, its step
-        # data hA and the one copy hA/3 (2.6 MB each) and two stage buffers.
-        # One more DIA-sized array read 10.1 MB
-        code = (f"import runpy; measure = runpy.run_path({str(TOOLS / 'solver_memory.py')!r})"
-                "['measure_rk4']; print(measure(256, 0.007))")
+        # RK4_STEPS = 40 steps, t_max = 0.0751 at a max outflow of 526, as
+        # the tool's main runs them: more than one block, so the block's
+        # saved start is in the reading.  They raised a fresh interpreter's
+        # peak RSS by 8.2 MB: RK4's assembly, its step data hA and the one
+        # copy hA/3 (2.6 MB each), two stage buffers and the saved start.
+        # One more DIA-sized array read 10.1 MB at four steps
+        args = cli._preset_args("fig4a", grid=(256, 256))
+        cfg = cli._mazer_config(args, args.g_ratio)
+        outflow = _RateGenerator(cfg, build_gain_table(cfg)).max_outflow()
+        code = (f"import math, runpy; tool = runpy.run_path({str(TOOLS / 'solver_memory.py')!r}); "
+                f"t_max = (tool['RK4_STEPS'] - 0.5) / {outflow!r}; "
+                f"print(math.ceil(t_max * {outflow!r}), tool['measure_rk4'](256, t_max))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
-        assert float(done.stdout.split()[-1]) < 9.0
+        steps, rise = done.stdout.split()[-2:]
+        assert int(steps) > _RK4_BLOCK
+        assert float(rise) < 9.0
 
     def test_reports_the_tail_leak_of_the_direct_solve(self):
         # both solvers report the leak rate of their p; here RK4 stops at
@@ -1209,12 +1217,18 @@ class TestRk4Blocks:
         assert iterations % _RK4_BLOCK == in_block
         assert iterations == 0 or iterations > _RK4_BLOCK
 
-    def test_t_max_inside_a_block(self):
-        cfg = TestRk4SteadyState.LEAKY
+    # whole blocks run while start + _RK4_BLOCK < steps: t_max ends on a
+    # block's last step or on the first step after it, or inside a block
+    # (107 steps is LEAKY's t_max = 5)
+    @pytest.mark.parametrize("steps", [32, 33, 64, 65, 107])
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(TestRk4SteadyState.LEAKY, id="leaky"),
+        pytest.param(config(r=2.0, n=12), id="plateau"),
+    ])
+    def test_t_max_inside_a_block(self, cfg, steps):
         gains = build_gain_table(cfg)
-        steps = math.ceil(5.0 * _RateGenerator(cfg, gains).max_outflow())
-        assert steps > _RK4_BLOCK and steps % _RK4_BLOCK
-        error, text = self.same_as_reference(cfg, gains, t_max=5.0, tol=1e-10)
+        t_max = (steps - 0.5) / _RateGenerator(cfg, gains).max_outflow()
+        error, text = self.same_as_reference(cfg, gains, t_max=t_max, tol=1e-10)
         assert error is ConvergenceError and text.startswith("|dP/dt| = ")
 
     def test_negative_p_from_a_corrupted_rate(self):

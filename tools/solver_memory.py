@@ -78,7 +78,13 @@ def measure(n: int) -> dict:
     """One fig4a grid's assembly memory, then its solve time, fill and peak RSS rise.
 
     Call it in a fresh process: the assembly is read first, so that no
-    earlier work sets its peak.
+    earlier work sets its peak.  rise_mb is read above the peak of one
+    `_pinned_system` build, made before the reading, so it is the solve's
+    own rise past that peak, not past the RSS the assembly leaves.  Without
+    that build, base_mb / rise_mb read 64.8 / 60.5 at 256^2 and 62.3 / 13.3
+    at 128^2, against 78.6 / 51.2 and 65.9 / 10.9 with it (two runs each);
+    test_solver_peak_memory_at_fig4a_256's bound of 61 MB was set on the
+    reading with it.
     """
     import scipy.sparse.linalg as spla
 
