@@ -16,15 +16,15 @@ geometric steady state.
 Each flow moves probability by a fixed offset in the flattened grid, so the
 generator is one DIA matrix, each flow's rates written straight into its own
 row of the DIA data; the time stepper scales the data of its own generator by
-the step once and adds each stage onto a copy of p with scipy's DIA kernel,
-and checks its stop test and guards once per block of steps, stepping again
-through the block where one fires.  The gain table is filled block by block,
-so neither costs much more memory than it keeps.  The direct solve pins the
-vacuum instead of adding a dense normalization row, orders the grid by nested
-dissection (built once per grid shape), assembles the pinned system from the
-generator's non-zeros relabelled by dissection position and factorizes
-without row swaps, which the M-matrix structure of the pinned generator makes
-stable.
+the step once and adds each stage onto zeros or a copy of p with scipy's DIA
+kernel, and checks its stop test and guards once per block of steps, stepping
+again through the block where one fires.  The gain table is filled block by
+block, so neither costs much more memory than it keeps.  The direct solve pins
+the vacuum instead of adding a dense normalization row, orders the grid by
+nested dissection (built once per grid shape), assembles the pinned system
+from the generator's non-zeros relabelled by dissection position and
+factorizes without row swaps, which the M-matrix structure of the pinned
+generator makes stable.
 
 scipy.sparse is imported by the solvers on first use, not with the module:
 it is most of the package's import time, and only the steady-state solves
@@ -91,6 +91,11 @@ _SUPERLU_PANEL = 1
 _GRID = (128, 128)
 _TOL = 1e-12
 _T_MAX = 500.0
+
+# Negative entries of p down to -_NEGATIVE_ROUNDOFF are round-off: _finalize
+# sets them to zero.  One further below is a fault, refused by _finalize and
+# by RK4's guard.
+_NEGATIVE_ROUNDOFF = 1e-9
 
 # RK4 steps between two evaluations of the stop test and the guards, which
 # cost about a tenth of a step each time (see rk4_steady_state).
@@ -345,18 +350,18 @@ class _RateGenerator:
         return float(self._edge_top @ p[-1, :] + self._edge_right @ p[:-1, -1])
 
 
-def _dia_kernel(mat: sp.dia_matrix, first: int = 0):
-    """add(data, x, y): y += D x in place, D the DIA matrix of mat's shape on mat.offsets[first:].
+def _dia_kernel(mat: sp.dia_matrix):
+    """add(data, x, y): y += D x in place, D the DIA matrix of mat's shape and offsets.
 
     scipy's own DIA kernel, the one mat @ x runs on a zeroed y, so a stage
-    costs no result allocation and no separate add pass.  It adds the
-    diagonals one after another in the order of the offsets.  data, x and y
-    must be C-contiguous float64 arrays; data has mat.data[first:]'s shape.
+    costs no result allocation and no separate add pass.  data, x and y must
+    be C-contiguous float64 arrays; data has mat.data's shape.
     """
     from scipy.sparse._sparsetools import dia_matvec
 
-    offsets = mat.offsets[first:]
-    return functools.partial(dia_matvec, *mat.shape, offsets.size, mat.data.shape[1], offsets)
+    return functools.partial(
+        dia_matvec, *mat.shape, mat.offsets.size, mat.data.shape[1], mat.offsets
+    )
 
 
 def apply_generator(
@@ -376,7 +381,7 @@ def _finalize(gen: _RateGenerator, p: np.ndarray) -> JointDistribution:
     Roundoff negatives are set to zero and larger ones raise; so do a leak
     rate or a mass in the outermost shells above TAIL_TOLERANCE.
     """
-    if p.min() < -1e-9:
+    if p.min() < -_NEGATIVE_ROUNDOFF:
         raise SolverError(
             f"distribution went negative beyond roundoff (min {p.min():.3e})"
         )
@@ -420,12 +425,10 @@ def rk4_steady_state(
     On p' = Ap the classic step is p + hA(p + h/2 A(p + h/3 A(p + h/4 Ap))),
     R(hA) p with R the degree-4 Taylor polynomial of exp.  The step is
     h = 1 / max outflow.  The generator's DIA data is scaled to hA once, and
-    hA/3 is its one copy.  The first stage, hAp, is hA's leading diagonal
-    times p written after zeros, onto which scipy's DIA kernel adds the other
-    diagonals: the bits of the kernel's pass onto zeros.  Each later stage is
-    a copy of p onto which the kernel adds hA/3 or hA times the previous
-    stage, scaled on the vector by the exact 1/4 or 1/2, and the last stage
-    adds straight onto p.
+    hA/3 is its one copy.  Each stage writes a base and adds one product onto
+    it with scipy's DIA kernel: the first, hAp, onto zeros; each later one
+    onto a copy of p, hA/3 or hA times the previous stage, scaled on the
+    vector by the exact 1/4 or 1/2; and the last straight onto p.
 
     A = N - D with N >= 0 off the diagonal, so R(hA) is entrywise
     nonnegative when h max D <= 1, the radius of absolute monotonicity of
@@ -447,8 +450,7 @@ def rk4_steady_state(
     end residual is not below the previous block's is stepped again too, and
     every step after it is checked; so are the steps of a last block that
     would reach t_max, whose ConvergenceError reports the residual of the
-    last step.  At fig4a 128^2 a step takes 191 us against 208 us with the
-    checks at every step (medians of 10 alternating runs, 2 cores).
+    last step.
     """
     _require_positive("t_max", t_max)
     _require_positive("tol", tol)
@@ -475,24 +477,12 @@ def rk4_steady_state(
     h_a *= dt
     h_a_third = h_a / 3.0
     add_product = _dia_kernel(gen.matrix)
-    add_trailing = _dia_kernel(gen.matrix, first=1)
     p = JointDistribution.vacuum(*gen.shape).p.ravel()
     k, stage, saved = np.empty_like(p), np.empty_like(p), np.empty_like(p)
-    # The leading diagonal, the most negative offset, reaches k[lead:] from
-    # p[:size - lead]; the outflow's offset 0 is always on, so lead >= 0.
-    lead = int(-gen.matrix.offsets[0])
-    lead_rates, lead_source, lead_target = h_a[0, :p.size - lead], p[:p.size - lead], k[lead:]
-    trailing_rates = h_a[1:]
 
     def first_stage():
-        # k = hAp, as the kernel's pass onto zeros: its first diagonal gives
-        # 0 + x = x, so one multiply writes it after zeros, and the kernel adds
-        # the others in its order.  Where the outflow leads, a product can be
-        # -0.0 where the pass gives +0.0; that zero reaches only |k| and
-        # k/4 + p, and p holds no -0.0, so no bit of p or the residual moves.
-        k[:lead] = 0.0
-        np.multiply(lead_rates, lead_source, out=lead_target)
-        add_trailing(trailing_rates, p, k)
+        k.fill(0.0)
+        add_product(h_a, p, k)  # k = hAp
 
     def later_stages():
         np.multiply(k, 0.25, out=k)
@@ -527,7 +517,7 @@ def rk4_steady_state(
             later_stages()
             first_stage()
         residual = float(np.abs(k, out=stage).sum()) / dt
-        if (not residual < previous or stops(residual) or p.min() < -1e-9
+        if (not residual < previous or stops(residual) or p.min() < -_NEGATIVE_ROUNDOFF
                 or drifted(p.sum())):
             np.copyto(p, saved)
             break
@@ -546,7 +536,7 @@ def rk4_steady_state(
                 residual=residual,
             )
         later_stages()
-        if p.min() < -1e-9:
+        if p.min() < -_NEGATIVE_ROUNDOFF:
             raise SolverError(
                 f"distribution went negative (min {p.min():.3e}) at "
                 f"t = {(step + 1) * dt:.3f}, although the step 1 / max outflow keeps p "
@@ -688,9 +678,10 @@ def direct_steady_state(
     gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
     dist = _finalize(gen, _pinned_solve(gen))
     # Rows 1.. of A p vanish and A p sums to -leak(p): the residual is the
-    # leak, so only a residual above a small leak means ill-conditioning.
+    # leak, which _finalize refused above TAIL_TOLERANCE, so only a residual
+    # above that means ill-conditioning.
     residual = float(np.abs(gen.matrix @ dist.p.ravel()).sum())
-    if residual > 1e-6:
+    if residual > TAIL_TOLERANCE:
         raise SolverError(
             f"stationary residual |A p| = {residual:.3e}; the generator looks "
             "degenerate or ill-conditioned"

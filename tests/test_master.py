@@ -618,10 +618,6 @@ class TestApplyGenerator:
             got = y.copy()
             add_product(mat.data / 3.0, x, got)
             assert np.abs(got - (mat @ x / 3.0 + y)).max() <= 1e-15 * scale
-            # the diagonals after the first, onto the first one's product
-            got = y + sp.dia_matrix((mat.data[:1], mat.offsets[:1]), shape=mat.shape) @ x
-            _dia_kernel(mat, first=1)(mat.data[1:], x, got)
-            assert np.abs(got - want).max() <= 1e-15 * scale
 
 
 class TestRk4SteadyState:
@@ -848,6 +844,19 @@ class TestDirectSteadyState:
         gen.matrix = sp.dia_matrix((data, gen.matrix.offsets), shape=gen.matrix.shape)
         with pytest.raises(SolverError, match="generator looks singular.*method='rk4'"):
             _pinned_solve(gen)
+
+    def test_finalize_zeroes_round_off_negatives_and_refuses_larger_ones(self):
+        # a silent beam and empty baths leak nothing, so only the negative entry
+        # decides; both solvers hand their p to _finalize
+        gen = _RateGenerator(config(beam=SILENT_BEAM, n=6), zero_gains(6))
+        p = JointDistribution.vacuum(6, 6).p
+        p[2, 3] = -5e-10
+        dist = _finalize(gen, p.copy())
+        assert same_bits(dist.p, JointDistribution.vacuum(6, 6).p)
+        assert dist.tail_leak == 0.0
+        p[2, 3] = -2e-9
+        with pytest.raises(SolverError, match=r"beyond roundoff \(min -2\.000e-09\)"):
+            _finalize(gen, p)
 
     def test_solver_peak_memory_at_fig4a_256(self):
         # SuperLU's work arrays grow with its panel width: in a fresh

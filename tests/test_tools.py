@@ -1,4 +1,5 @@
-"""tools/compare_outputs.py: how two outputs of the CLI are told apart."""
+"""tools/compare_outputs.py: how two outputs of the CLI are told apart; and
+tools/bench_pairs.py: the numbers a BENCH_<n>.json record gives for each metric."""
 
 import importlib
 from pathlib import Path
@@ -11,9 +12,19 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 @pytest.fixture
-def report(monkeypatch):
+def tools(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))
-    return importlib.import_module("compare_outputs").report
+    return importlib.import_module
+
+
+@pytest.fixture
+def report(tools):
+    return tools("compare_outputs").report
+
+
+@pytest.fixture
+def bench_pairs(tools):
+    return tools("bench_pairs")
 
 
 def table() -> Table:
@@ -102,3 +113,34 @@ def test_text_other_than_numbers_differs(report, change):
     same_text, line = report(text, change(text))
     assert not same_text
     assert line.startswith("text differs:\n  parent: ")
+
+
+RUN_S = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
+ITEMS = {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+
+
+def test_summary_gives_the_median_and_the_exclusive_quartiles(bench_pairs):
+    # statistics.quantiles' default method: q1 and q3 at positions (n + 1)/4
+    # and 3(n + 1)/4 of the sorted runs, here 2.75 and 8.25
+    runs = [7.0, 1.0, 10.0, 4.0, 2.0, 9.0, 5.0, 3.0, 8.0, 6.0]
+    assert bench_pairs.summary(runs) == {"median": 5.5, "q1": 2.75, "q3": 8.25, "n": 10}
+
+
+def test_compare_counts_wins_pair_by_pair_and_ties_for_neither_side(bench_pairs):
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [1.0, 1.5, 2.0, 6.0, 4.0]  # a tie, three lower, one higher
+    out = bench_pairs.compare(RUN_S, parent, change)
+    assert out == {
+        "unit": "s", "better": "lower", "bound": 0.25,
+        "parent": {"median": 3.0, "q1": 1.5, "q3": 4.5, "n": 5},
+        "change": {"median": 2.0, "q1": 1.25, "q3": 5.0, "n": 5},
+        "change_wins": 3, "parent_runs": parent, "change_runs": change,
+        "median_ratio": 2.0 / 3.0, "parent_quartile_gap": 3.0, "median_gap": 1.0,
+    }
+    assert bench_pairs.compare(ITEMS, parent, change)["change_wins"] == 1
+
+
+def test_compare_gives_no_ratio_against_a_zero_parent_median(bench_pairs):
+    out = bench_pairs.compare(ITEMS, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    assert out["median_ratio"] is None
+    assert (out["change_wins"], out["median_gap"], out["parent_quartile_gap"]) == (1, 0.0, 0.0)

@@ -60,8 +60,13 @@ OUTPUTS = (
                           "--tol", "1e-10", "--method", "rk4")),
     # gamma = 0 leaves mode 2 empty
     ("steady-gamma0", ("steady", "--g-ratio", "0", "--grid", "32x32", "--r-over-c", "5")),
+    # by RK4 with no pair gain: mode 1's up-flow is the lowest diagonal
+    ("steady-rk4-gamma0", ("steady", "--g-ratio", "0", "--grid", "32x32", "--r-over-c", "5",
+                           "--method", "rk4")),
     # a silent beam and empty baths: the vacuum has no outflow, so its pin has scale 1
     ("steady-silent", ("steady", "--kappa-l", "0", "--grid", "12x12")),
+    # by RK4 the outflow is the lowest diagonal, and the vacuum stops the run at step 0
+    ("steady-rk4-silent", ("steady", "--kappa-l", "0", "--grid", "12x12", "--method", "rk4")),
     ("fig3a", ("preset", "fig3a")),
     ("fig3b", ("preset", "fig3b")),
     ("emission-k-ratio", ("emission", "--sweep", "k-ratio", "--start", "0.05", "--end", "3",
