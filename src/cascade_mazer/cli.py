@@ -2,7 +2,9 @@
 
 Commands emit plain tables (CSV or JSON) so plotting stays external.  Output
 is deterministic: the same inputs and package version produce bit-identical
-bytes, and every file carries its full configuration in a metadata block.
+bytes on one machine with one BLAS kernel, since BLAS dot products and the
+sparse factorisation enter steady tables (see the README's CLI section).
+Every file carries its full configuration in a metadata block.
 """
 
 from __future__ import annotations
