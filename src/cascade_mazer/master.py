@@ -21,10 +21,13 @@ kernel, and checks its stop test and guards once per block of steps, stepping
 again through the block where one fires.  The gain table is filled block by
 block, so neither costs much more memory than it keeps.  The direct solve pins
 the vacuum instead of adding a dense normalization row, orders the grid by
-nested dissection (built once per grid shape), assembles the pinned system
-from the generator's non-zeros relabelled by dissection position and
-factorizes without row swaps, which the M-matrix structure of the pinned
-generator makes stable.
+nested dissection (built once per grid shape), writes the pinned system
+column by column from the DIA data in that order, lets the generator go
+and factorizes without row swaps, which the M-matrix structure of the pinned
+generator makes stable; only the system and the gain table are live while
+SuperLU factors, and the checks run on a generator rebuilt from the table.
+Leak and residual verdicts are read in units of the slower mode's damping
+rate, so scaling every rate moves none of them.
 
 scipy.sparse is imported by the solvers on first use, not with the module:
 it is most of the package's import time, and only the steady-state solves
@@ -62,8 +65,9 @@ __all__ = [
     "twolevel_detailed_balance",
 ]
 
-# Truncation diagnostics: the stationary leak rate and the mass in the
-# _TAIL_SHELLS outermost shells must stay below this or the run is rejected.
+# Truncation diagnostics: the stationary leak rate, in units of the slower
+# mode's damping rate, and the mass in the _TAIL_SHELLS outermost shells must
+# stay below this or the run is rejected.
 TAIL_TOLERANCE = 1e-6
 _TAIL_SHELLS = 2
 
@@ -264,6 +268,9 @@ class _RateGenerator:
     edge entries of p, kept apart from matrix so that scaling it leaves the
     leak as it is.  Rates that overflow double
     precision are refused: every rate is part of some state's outflow.
+    unit is u = min(c1_over_c, c2_over_c), the damping rate of the slower
+    mode, in which the leak and residual verdicts are read: the steady state
+    does not depend on the scale of the rates, so neither may they.
     """
 
     def __init__(self, cfg: MazerConfig, gains: GainTable):
@@ -278,6 +285,7 @@ class _RateGenerator:
                     f"({n1_max}, {n2_max})"
                 )
             self.shape = (n1_max, n2_max)
+            self.unit = min(cfg.c1_over_c, cfg.c2_over_c)
             n1 = np.arange(n1_max, dtype=float)[:, None]
             n2 = np.arange(n2_max, dtype=float)[None, :]
             c1, c2 = cfg.c1_over_c, cfg.c2_over_c
@@ -379,7 +387,8 @@ def _finalize(gen: _RateGenerator, p: np.ndarray) -> JointDistribution:
     """A solver's p on the grid as a distribution, with its leak rate as tail_leak.
 
     Roundoff negatives are set to zero and larger ones raise; so do a leak
-    rate or a mass in the outermost shells above TAIL_TOLERANCE.
+    rate above TAIL_TOLERANCE in units of gen.unit, and a mass in the
+    outermost shells above TAIL_TOLERANCE.
     """
     if p.min() < -_NEGATIVE_ROUNDOFF:
         raise SolverError(
@@ -387,9 +396,10 @@ def _finalize(gen: _RateGenerator, p: np.ndarray) -> JointDistribution:
         )
     p = np.maximum(p, 0.0)
     dist = JointDistribution(p=p, tail_leak=gen.leak(p))
-    if dist.tail_leak > TAIL_TOLERANCE:
+    if dist.tail_leak / gen.unit > TAIL_TOLERANCE:
         raise TruncationError(
-            f"tail leak {dist.tail_leak:.3e} exceeds {TAIL_TOLERANCE:.0e}; "
+            f"tail leak {dist.tail_leak:.3e} = {dist.tail_leak / gen.unit:.3e} u exceeds "
+            f"{TAIL_TOLERANCE:.0e} u, with u = min(c1_over_c, c2_over_c) = {gen.unit:.3g}; "
             "enlarge the photon grid"
         )
     tail = dist.tail_mass()
@@ -414,9 +424,10 @@ def rk4_steady_state(
     |dP/dt|_1 - leak(p), falls below tol * min(1, max outflow): the steady
     state does not depend on the scale of the rates, so below a max outflow
     of 1 the threshold scales with them.  The leak rate is judged only by
-    the TAIL_TOLERANCE gate, as for the direct solve: a leak above it keeps
-    the stepper running, and a grid that drains more than TAIL_TOLERANCE of
-    mass before it settles raises TruncationError.
+    the gate of TAIL_TOLERANCE in units of u = min(c1_over_c, c2_over_c),
+    as for the direct solve: a leak above it keeps the stepper running, and
+    a grid that drains more than TAIL_TOLERANCE of mass before it settles
+    raises TruncationError.
     residual is |hAp|_1 / h, |dP/dt|_1 up to round-off, and tail_leak the
     leak rate of the returned p; the step used is model_time / iterations.
     The stop compares residual - tail_leak, so a converged result can report
@@ -497,8 +508,8 @@ def rk4_steady_state(
     def stops(residual: float) -> bool:
         # dP/dt sums to -leak(p), so residual - leak(p) is 2 sum max(dP/dt, 0),
         # the in-grid part; the leak itself is judged by _finalize's gate, which
-        # refuses one above TAIL_TOLERANCE, so it is computed only below that.
-        return (residual < threshold + TAIL_TOLERANCE
+        # refuses one above TAIL_TOLERANCE u, so it is computed only below that.
+        return (residual < threshold + TAIL_TOLERANCE * gen.unit
                 and residual - gen.leak(p.reshape(gen.shape)) < threshold)
 
     def drifted(mass: float) -> bool:
@@ -611,50 +622,82 @@ def _pinned_system(gen: _RateGenerator) -> tuple[sp.csc_matrix, np.ndarray]:
     accuracy: fig4b at 128x128 has p[0, 0] = 8.0e-16, which moved by 1.3e-2
     between two dissection orders.
 
-    The matrix is the generator's non-zeros off the vacuum's row, plus the
-    pin, relabelled by dissection position; the CSC conversion sorts each
-    column's rows.
+    The CSC is written column-aligned from the DIA data, whose entry [k, j]
+    is already the rate of diagonal k out of state j: each diagonal is
+    gathered in dissection order, and each of its non-zeros off the
+    vacuum's row lands at its row's rank among the at most six rows of its
+    column, so every column's rows come out sorted.  Besides the CSC the
+    build holds one int32 row per diagonal and n-sized temporaries.
     """
     import scipy.sparse as sp
 
-    flows = gen.matrix.tocoo()  # drops the zeros
-    _, position = _dissection(*gen.shape)
+    order, position = _dissection(*gen.shape)
+    n_states = order.size
+    offsets, rates = gen.matrix.offsets, gen.matrix.data
     # The vacuum's row becomes the pin alone.  Its outflow is the pivot unless
     # that is subnormal (or zero), whose reciprocal would overflow: then 1.
-    outflow = -gen.matrix.diagonal()[0]
+    diagonal = int(np.flatnonzero(offsets == 0)[0])
+    outflow = -rates[diagonal, 0]
     scale = outflow if outflow >= np.finfo(float).tiny else 1.0
     pin = position[0]
-    kept = flows.row != 0
-    rows = np.append(position[flows.row[kept]], pin)
-    cols = np.append(position[flows.col[kept]], pin)
-    data = np.append(flows.data[kept], scale)
-    # Freed before the CSC is built: kept through it, the COO raised the
-    # steady_direct benchmark's peak RSS by 1.8 MB.
-    del flows, kept
-    pinned = sp.csc_matrix((data, (rows, cols)), shape=gen.matrix.shape)
-    rhs = np.zeros(pinned.shape[0])
+
+    # rows[k, c]: the dissection position of the state that diagonal k moves
+    # state order[c]'s probability into, or n_states where that flow is zero,
+    # leaves the grid or lands in the vacuum's row.  The pin is the one entry
+    # of that row that stays.
+    rows = np.empty((offsets.size, n_states), dtype=np.int32)
+    for row, offset, rate in zip(rows, offsets, rates):
+        np.subtract(order, offset, out=row)
+        dropped = (row <= 0) | (row >= n_states)
+        dropped |= rate[order] == 0.0
+        row[dropped] = 0
+        np.take(position, row, out=row)
+        row[dropped] = n_states
+    rows[diagonal, pin] = pin
+
+    indptr = np.zeros(n_states + 1, dtype=np.int32)
+    for row in rows:
+        indptr[1:] += row < n_states
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for k, row in enumerate(rows):
+        kept = row < n_states
+        slot = indptr[:-1].copy()
+        for other in rows:
+            slot += other < row
+        slot = slot[kept]
+        indices[slot] = row[kept]
+        value = rates[k][order]
+        if k == diagonal:
+            value[pin] = scale
+        data[slot] = value[kept]
+    pinned = sp.csc_matrix((data, indices, indptr), shape=gen.matrix.shape)
+    rhs = np.zeros(n_states)
     rhs[pin] = scale
     return pinned, rhs
 
 
-def _pinned_solve(gen: _RateGenerator) -> np.ndarray:
-    """Normalized p from _pinned_system, factorized in its order with diagonal pivots."""
+def _pinned_solve(pinned: sp.csc_matrix, rhs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Normalized p on a grid of this shape from _pinned_system's (pinned, rhs).
+
+    Factorized in the system's own dissection order, with diagonal pivots.
+    """
     import scipy.sparse.linalg as spla  # spla.splu is looked up per call
 
     advice = (
         "the generator looks singular, or the vacuum is too improbable to pin; "
         "use method='rk4'"
     )
-    pinned, rhs = _pinned_system(gen)
-    _, position = _dissection(*gen.shape)
     try:
         factor = spla.splu(pinned, permc_spec="NATURAL", panel_size=_SUPERLU_PANEL)
     except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
         raise SolverError(f"direct solve failed ({err}): {advice}") from None
+    _, position = _dissection(*shape)
     solution = factor.solve(rhs)[position]
     if not np.all(np.isfinite(solution)):
         raise SolverError(f"direct solve produced non-finite entries: {advice}")
-    return solution.reshape(gen.shape) / solution.sum()
+    return solution.reshape(shape) / solution.sum()
 
 
 def direct_steady_state(
@@ -666,7 +709,9 @@ def direct_steady_state(
     matrix, factorizes once in nested-dissection order with the diagonal
     pivots, which the pinned M-matrix makes stable (see _pinned_system), and
     normalizes; deterministic, and entirely independent of the time stepper.
-    tail_leak is the stationary outflow of the clamped p.
+    tail_leak is the stationary outflow of the clamped p.  The leak and the
+    residual |A p| are judged in units of u = min(c1_over_c, c2_over_c), so
+    that scaling every rate changes neither verdict.
     """
     n_states = cfg.n1_max * cfg.n2_max
     if n_states > MAX_DIRECT_STATES:
@@ -674,17 +719,21 @@ def direct_steady_state(
             f"grid has {n_states} states; the direct solver accepts at most "
             f"{MAX_DIRECT_STATES}; use method='rk4' (--method rk4) for larger grids"
         )
-    # A table built here is freed once the generator holds its rates.
-    gen = _RateGenerator(cfg, build_gain_table(cfg) if gains is None else gains)
-    dist = _finalize(gen, _pinned_solve(gen))
+    gains = build_gain_table(cfg) if gains is None else gains
+    # The generator that the pinned system is built from is freed before
+    # SuperLU starts, and rebuilt from the gain table for the checks.
+    p = _pinned_solve(*_pinned_system(_RateGenerator(cfg, gains)), (cfg.n1_max, cfg.n2_max))
+    gen = _RateGenerator(cfg, gains)
+    dist = _finalize(gen, p)
     # Rows 1.. of A p vanish and A p sums to -leak(p): the residual is the
-    # leak, which _finalize refused above TAIL_TOLERANCE, so only a residual
+    # leak, which _finalize refused above TAIL_TOLERANCE u, so only a residual
     # above that means ill-conditioning.
     residual = float(np.abs(gen.matrix @ dist.p.ravel()).sum())
-    if residual > TAIL_TOLERANCE:
+    if residual / gen.unit > TAIL_TOLERANCE:
         raise SolverError(
-            f"stationary residual |A p| = {residual:.3e}; the generator looks "
-            "degenerate or ill-conditioned"
+            f"stationary residual |A p| = {residual:.3e} = {residual / gen.unit:.3e} u "
+            f"exceeds {TAIL_TOLERANCE:.0e} u, with u = min(c1_over_c, c2_over_c) = "
+            f"{gen.unit:.3g}; the generator looks degenerate or ill-conditioned"
         )
     return SteadyStateResult(
         dist=dist,

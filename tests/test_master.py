@@ -234,7 +234,7 @@ def parent_rk4_steady_state(cfg: MazerConfig, *, t_max: float, tol: float,
         k.fill(0.0)
         add_product(h_a, p, k)
         residual = float(np.abs(k, out=stage).sum()) / dt
-        if (residual < threshold + TAIL_TOLERANCE
+        if (residual < threshold + TAIL_TOLERANCE * gen.unit
                 and residual - gen.leak(p.reshape(gen.shape)) < threshold):
             return SteadyStateResult(dist=_finalize(gen, p.reshape(gen.shape)), method="rk4",
                                      iterations=step, model_time=step * dt, residual=residual)
@@ -698,7 +698,8 @@ class TestRk4SteadyState:
         # floored at that leak, never stops it before the mass drifts away
         cfg = MazerConfig(r_over_c=0.3, nb1=0.0, nb2=0.0, beam=self.FLOORED.beam,
                           n1_max=6, n2_max=12, c1_over_c=0.5, c2_over_c=1.3)
-        with pytest.raises(TruncationError, match=r"^tail leak 1\.287e-06 exceeds 1e-06; "
+        with pytest.raises(TruncationError, match=r"^tail leak 1\.287e-06 = 2\.573e-06 u "
+                           r"exceeds 1e-06 u, with u = min\(c1_over_c, c2_over_c\) = 0\.5; "
                            r"enlarge the photon grid$"):
             direct_steady_state(cfg)
         with pytest.raises(TruncationError, match=r"mass drifted .* at t = 4\.19.*"
@@ -843,7 +844,7 @@ class TestDirectSteadyState:
         data[:, 5] = 0.0
         gen.matrix = sp.dia_matrix((data, gen.matrix.offsets), shape=gen.matrix.shape)
         with pytest.raises(SolverError, match="generator looks singular.*method='rk4'"):
-            _pinned_solve(gen)
+            _pinned_solve(*_pinned_system(gen), gen.shape)
 
     def test_finalize_zeroes_round_off_negatives_and_refuses_larger_ones(self):
         # a silent beam and empty baths leak nothing, so only the negative entry
@@ -868,6 +869,39 @@ class TestDirectSteadyState:
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert float(done.stdout.split()[-1]) < 61.0
+
+    def test_whole_solve_peak_memory_at_fig6_256(self):
+        # one direct_steady_state call raised a fresh interpreter's peak RSS
+        # by 65.9-66.0 MB with the pinned system written column by column and
+        # no generator live while SuperLU factors, against 68.4-68.5 MB with
+        # the system built through a COO beside the live generator
+        code = (f"import runpy; tool = runpy.run_path({str(TOOLS / 'solver_memory.py')!r}); "
+                "print(tool['DIRECT_PRESET'], tool['measure_direct'](256))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        preset, rise = done.stdout.split()[-2:]
+        assert preset == "fig6"
+        assert float(rise) < 67.0
+
+    # fig4a's beam with every rate scaled by s, whose steady state does not
+    # depend on s: at 46^2 the leak is 1.036e-6 u at every s, above the
+    # gate, and at 48^2 it is 2.05e-7 u, below it
+    @pytest.mark.parametrize("n, refused", [(46, True), (48, False)])
+    def test_verdict_does_not_depend_on_the_unit_of_the_rates(self, n, refused):
+        solved = []
+        for s in (1e-10, 1.0, 1e5):
+            cfg = config(r=50.0 * s, n=n, c1_over_c=s, c2_over_c=s)
+            if refused:
+                with pytest.raises(TruncationError, match=r"^tail leak \S+ = 1\.036e-06 u "
+                                   r"exceeds 1e-06 u, with u = min\(c1_over_c, c2_over_c\) = "):
+                    direct_steady_state(cfg)
+            else:
+                res = direct_steady_state(cfg)
+                assert res.dist.tail_leak / s == pytest.approx(2.0525e-7, rel=1e-4)
+                solved.append(res.dist.p)
+        for p in solved:
+            assert np.abs(p - solved[1]).sum() < 1e-14
 
     def test_undersized_grid_fails_loudly(self):
         # mean occupation ~16 cannot fit an 8x8 grid: the stationary leak is
@@ -895,7 +929,7 @@ class TestDirectSteadyState:
         want = exact_pinned_solve(cfg, gains)
         assert want.min() < floor
         gen = _RateGenerator(cfg, gains)
-        got = _pinned_solve(gen)
+        got = _pinned_solve(*_pinned_system(gen), gen.shape)
         # every entry to its own relative precision, the far tail included
         assert np.max(np.abs(got - want) / want) < 1e-12
         if nb == 0.0:  # nb = 0.3 does not fit a 9x8 grid's truncation gate
@@ -919,30 +953,42 @@ class TestDirectSteadyState:
         gains = build_gain_table(cfg)
         want = exact_pinned_solve(cfg, gains)
         gen = _RateGenerator(cfg, gains)
-        got = _pinned_solve(gen)
+        got = _pinned_solve(*_pinned_system(gen), gen.shape)
         # entry by entry; states the pump and baths never reach are exactly zero
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
-    # (nb, gamma, c2/C, kappa L, diagonals): six diagonals, five without the
-    # up-flows, five without the pair gain, unequal damping, and a silent beam
-    # with no up-flows, whose three diagonals give the vacuum no outflow, so
-    # its pin has scale 1 and its non-zeros have no (0, 0) entry.  Each id
-    # names the case's (nb, gamma, c2/C).
-    @pytest.mark.parametrize("nb, gamma, c2, kappa_l, diagonals", [
-        pytest.param(0.3, 2.0, 1.0, 20000.0 * math.pi, 6, id="0.3-2.0-1.0"),
-        pytest.param(0.0, 2.0, 1.0, 20000.0 * math.pi, 5, id="0.0-2.0-1.0"),
-        pytest.param(0.3, 0.0, 1.0, 20000.0 * math.pi, 5, id="0.3-0.0-1.0"),
-        pytest.param(0.2, 1.0, 0.6, 20000.0 * math.pi, 6, id="0.2-1.0-0.6"),
-        pytest.param(0.0, 2.0, 1.0, 0.0, 3, id="silent"),
+    # (nb, gamma, c2/C, kappa L, holes, diagonals): six diagonals, five
+    # without the up-flows, five without the pair gain, unequal damping, a
+    # silent beam with no up-flows, whose three diagonals give the vacuum no
+    # outflow, so its pin has scale 1 and its non-zeros have no (0, 0) entry,
+    # and a hand-made gain table with exact zeros inside the grid, which the
+    # build drops entry by entry away from the edges too.  Each id names the
+    # case's (nb, gamma, c2/C).
+    @pytest.mark.parametrize("nb, gamma, c2, kappa_l, holes, diagonals", [
+        pytest.param(0.3, 2.0, 1.0, 20000.0 * math.pi, False, 6, id="0.3-2.0-1.0"),
+        pytest.param(0.0, 2.0, 1.0, 20000.0 * math.pi, False, 5, id="0.0-2.0-1.0"),
+        pytest.param(0.3, 0.0, 1.0, 20000.0 * math.pi, False, 5, id="0.3-0.0-1.0"),
+        pytest.param(0.2, 1.0, 0.6, 20000.0 * math.pi, False, 6, id="0.2-1.0-0.6"),
+        pytest.param(0.0, 2.0, 1.0, 0.0, False, 3, id="silent"),
+        pytest.param(0.0, 2.0, 1.0, 20000.0 * math.pi, True, 5, id="pair-zeros"),
     ])
     @pytest.mark.parametrize("shape", [(9, 14), (2, 300), (16, 16)])
     def test_pinned_system_matches_parent_construction(
-        self, shape, nb, gamma, c2, kappa_l, diagonals
+        self, shape, nb, gamma, c2, kappa_l, holes, diagonals
     ):
         beam = CavityBeam(k_ratio=0.5, kappa_l=kappa_l, gamma=gamma)
         cfg = MazerConfig(r_over_c=0.3, nb1=nb, nb2=nb, beam=beam, n1_max=shape[0],
                           n2_max=shape[1], c2_over_c=c2)
-        gen = _RateGenerator(cfg, build_gain_table(cfg))
+        gains = build_gain_table(cfg)
+        if holes:
+            # about a third of each gain exactly zero, the interior included;
+            # at nb = 0 the pair and one-photon diagonals hold the gains alone
+            rng = np.random.default_rng(shape[0] * shape[1])
+            g_b1, g_b2 = (np.where(rng.random(shape) < 0.3, 0.0, rng.random(shape))
+                          for _ in range(2))
+            assert not g_b2[:-1, 1:-2].all()
+            gains = GainTable(g_b1=g_b1, g_b2=g_b2)
+        gen = _RateGenerator(cfg, gains)
         assert len(gen.matrix.offsets) == diagonals
         want, want_rhs = parent_pinned_system(gen.matrix, shape)
         got, rhs = _pinned_system(gen)
