@@ -93,8 +93,7 @@ def measure(n: int) -> dict:
     78.5 / 51.2 and 65.8 / 10.9 when the system was built through a COO and
     built again inside the solve, beside the live generator.
     test_solver_peak_memory_at_fig4a_256's bound of 61 MB was set on a
-    reading with a build before it; with none, the COO-built solve read
-    60.5 MB.
+    reading with a build before it.
     """
     import scipy.sparse.linalg as spla
 
